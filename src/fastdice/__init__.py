@@ -1,8 +1,8 @@
 """Entropy-optimal discrete sampling from raw coin flips.
 
 Exact uniform integers, batched uniforms, Bernoulli draws with rational
-bias, and uniform random permutations, all fed bit by bit from a
-pluggable source and all meeting the Knuth-Yao expected-bit optimum.
+bias, and uniform random permutations, all fed from a pluggable bit
+source and all meeting the Knuth-Yao expected-bit optimum.
 The cost side computes the expected bit counts exactly (as rationals),
 their toll over the entropy floor, and the smooth zeta-based
 approximation.

@@ -69,9 +69,11 @@ def binary_expansion(p: Rational, count: int) -> list[int]:
 def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     """Return 1 with probability exactly p.num/p.den.
 
-    Consumes one flip per expansion bit inspected; the flip stream decides
-    the stopping position and never mixes with the expansion values.
-    Degenerate biases 0 and 1 return immediately with zero flips.
+    Consumes the flips up to and including the first 1, read with one
+    ``until_one`` call; that count t is the stopping position, and the
+    answer is expansion bit t.  The flip stream decides the position and
+    never mixes with the expansion values.  Degenerate biases 0 and 1
+    return immediately with zero flips.
 
     Raises:
         ValueError: den beyond the 2**62 doubling guard.
@@ -82,15 +84,9 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
         return 0
     if p.num == p.den:
         return 1
-    v = p.num
+    # Bit t of num/den is 1 exactly when twice the remainder after t-1
+    # doublings, num * 2**(t-1) mod den, reaches den.  Modular pow finds
+    # it in O(log t) steps, with no doubling loop over the skipped bits.
+    t = source.until_one()
     den = p.den
-    next_bit = source.next_bit
-    while True:
-        v <<= 1
-        if v >= den:
-            v -= den
-            b = 1
-        else:
-            b = 0
-        if next_bit():
-            return b
+    return int(2 * (p.num * pow(2, t - 1, den) % den) >= den)

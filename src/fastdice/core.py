@@ -1,15 +1,21 @@
 """Exact discrete uniform sampling from coin flips.
 
-``fdr_uniform`` draws an integer uniform on {0, ..., n-1} consuming one
-bit per loop iteration, and terminates with probability 1.  The expected
-bit count meets the information-theoretic optimum for this problem
-(Knuth-Yao bound): log2(n) plus a bounded toll below 2 bits.
+``fdr_uniform`` draws an integer uniform on {0, ..., n-1} and terminates
+with probability 1.  The expected bit count meets the
+information-theoretic optimum for this problem (Knuth-Yao bound):
+log2(n) plus a bounded toll below 2 bits.
 
-The loop maintains a candidate c uniform on {0, ..., v-1}.  Each step
+The sampler maintains a candidate c uniform on {0, ..., v-1}.  Each flip
 doubles the carried range v and appends one bit to c; whenever v reaches
 n, either c already names an answer (c < n) or the pair is reduced by n
-and the loop keeps the leftover randomness.  Nothing is discarded, which
-is where the optimality comes from.
+and the leftover randomness is kept.  Nothing is discarded, which is
+where the optimality comes from.
+
+While v is below n no decision is made, so the flips that bring v back
+to n or above are read as one integer: (n-1).bit_length() of them at the
+start, and after each reduction the fewest j with v * 2**j >= n.  That
+reads exactly the flips a one-flip-per-step loop would, in the same
+order, and stops at the same flip.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
     """Draw uniformly from {0, ..., n-1} using optimally few random bits.
 
     Args:
-        source: bit source; consumed one bit per loop iteration.
+        source: bit source; read through ``next_bits``, only as many
+            bits as the draw's decisions need.
         n: number of outcomes, 1 <= n <= 2**62.
 
     Returns:
@@ -53,22 +60,26 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
     if n == 1:
         return FdrOutcome(0, 0)
 
-    next_bit = source.next_bit
-    v = 1  # size of the range c is uniform on
-    c = 0
-    bits = 0
+    next_bits = source.next_bits
+    width = (n - 1).bit_length()
+    bits = width
+    v = 1 << width  # size of the range c is uniform on; n <= v < 2n
+    c = next_bits(width)
     while True:
-        v <<= 1
-        c = (c << 1) | next_bit()
-        bits += 1
-        assert c < v < (n << 1)  # loop invariant; stripped under -O
-        if v >= n:
-            if c < n:
-                return FdrOutcome(c, bits)
-            # c landed in the rejection band [n, v): recycle it as a
-            # uniform draw on the leftover range of size v - n.
-            v -= n
-            c -= n
+        assert c < v and n <= v < (n << 1)  # loop invariant; stripped under -O
+        if c < n:
+            return FdrOutcome(c, bits)
+        # c landed in the rejection band [n, v): recycle it as a uniform
+        # draw on the leftover range of size v - n, then double it back
+        # to n or above.
+        v -= n
+        c -= n
+        j = width - v.bit_length()
+        if v << j < n:
+            j += 1
+        v <<= j
+        c = (c << j) | next_bits(j)
+        bits += j
 
 
 def fdr_uniform_range(source: RandomBitSource, lo: int, hi: int) -> int:

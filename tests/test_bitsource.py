@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from fastdice import (BufferedWordSource, ScriptExhausted, ScriptedBitSource,
@@ -106,3 +108,125 @@ def test_scripted_words_exhaustion():
     assert gen.next_word() == 2
     with pytest.raises(ScriptExhausted):
         gen.next_word()
+
+
+# ------------------------------------------------------- bulk reads
+
+
+def test_next_bits_equals_next_bit_calls():
+    # Widths 0..70 in a shuffled order leave the buffer at every offset.
+    widths = list(range(71)) * 3
+    random.Random(1).shuffle(widths)
+    bulk, single = BufferedWordSource(5), BufferedWordSource(5)
+    for k in widths:
+        expected = 0
+        for _ in range(k):
+            expected = (expected << 1) | single.next_bit()
+        assert bulk.next_bits(k) == expected
+        assert bulk.bits_consumed() == single.bits_consumed()
+        assert bulk.words_fetched == single.words_fetched
+
+
+def test_next_bits_zero_reads_nothing():
+    src = BufferedWordSource(3)
+    assert src.next_bits(0) == 0
+    assert (src.bits_consumed(), src.words_fetched) == (0, 0)
+    scripted = ScriptedBitSource([])
+    assert scripted.next_bits(0) == 0
+    assert scripted.bits_consumed() == 0
+
+
+@pytest.mark.parametrize("k, value, words", [
+    (1, 0b1, 1),                                   # from the buffer alone
+    (20, (0b1 << 19) | (0x89ABCDEF >> 13), 2),     # buffer + one word
+    (62, (0b1 << 61) | (0x89ABCDEF << 29) | (0x13579BDF >> 3), 3),
+])
+def test_next_bits_spans_words(k, value, words):
+    # 31 bits read, so one bit (the low 1 of the first word) is left.
+    src = BufferedWordSource(ScriptedWords([0x00000001, 0x89ABCDEF,
+                                            0x13579BDF]))
+    assert src.next_bits(31) == 0
+    assert src.next_bits(k) == value
+    assert src.bits_consumed() == 31 + k
+    assert src.words_fetched == words == -(-(31 + k) // 32)
+
+
+def test_next_bits_exact_word_fetches_one_word():
+    src = BufferedWordSource(ScriptedWords([0xDEADBEEF]))
+    assert src.next_bits(32) == 0xDEADBEEF
+    assert src.words_fetched == 1
+    assert src.next_bits(0) == 0
+    assert src.words_fetched == 1
+
+
+def test_reset_mid_stream_with_bulk_reads():
+    src = BufferedWordSource(7)
+    first = src.next_bits(45)
+    src.reset_bit_count()
+    assert src.bits_consumed() == 0
+    t = src.until_one()
+    cont = src.next_bits(20)
+    assert src.bits_consumed() == t + 20
+    ref = BufferedWordSource(7)
+    assert ref.next_bits(45) == first
+    assert ref.next_bits(t) == 1
+    assert ref.next_bits(20) == cont
+    assert ref.words_fetched == src.words_fetched
+
+
+@pytest.mark.parametrize("words, t", [
+    ([0x80000000], 1),
+    ([0x00000001], 32),
+    ([0, 0, 0x40000000], 66),
+])
+def test_until_one_counts_through_zero_words(words, t):
+    src = BufferedWordSource(ScriptedWords(words))
+    assert src.until_one() == t
+    assert src.bits_consumed() == t
+    assert src.words_fetched == len(words)
+
+
+def test_until_one_equals_next_bit_loop():
+    bulk, single = BufferedWordSource(11), BufferedWordSource(11)
+    for _ in range(2000):
+        t = 1
+        while not single.next_bit():
+            t += 1
+        assert bulk.until_one() == t
+        assert bulk.bits_consumed() == single.bits_consumed()
+        assert bulk.words_fetched == single.words_fetched
+
+
+def test_scripted_bulk_reads():
+    src = ScriptedBitSource([1, 0, 1, 1, 0, 0, 0, 1, 0])
+    assert src.next_bits(4) == 0b1011
+    assert src.until_one() == 4
+    assert src.bits_consumed() == 8
+    assert src.remaining == 1
+
+
+@pytest.mark.parametrize("read", [lambda s: s.next_bits(4),
+                                  lambda s: s.until_one(),
+                                  lambda s: [s.next_bit() for _ in range(4)]])
+def test_scripted_exhaustion_state_is_method_independent(read):
+    src = ScriptedBitSource([1, 0, 0, 0, 0])
+    src.next_bit()
+    with pytest.raises(ScriptExhausted, match="after 5 bits"):
+        read(src)
+        read(src)
+    assert src.remaining == 0
+    assert src.bits_consumed() == 5
+
+
+@pytest.mark.parametrize("read", [lambda s: s.next_bits(80),
+                                  lambda s: s.until_one(),
+                                  lambda s: [s.next_bit() for _ in range(80)]])
+def test_buffered_word_exhaustion_state_is_method_independent(read):
+    # A read that outruns the word script leaves the counters where the
+    # same read made bit by bit would.
+    src = BufferedWordSource(ScriptedWords([0xFFFF0000, 0]))
+    src.next_bits(20)
+    with pytest.raises(ScriptExhausted):
+        read(src)
+        read(src)
+    assert (src.bits_consumed(), src.words_fetched) == (64, 2)

@@ -1,0 +1,77 @@
+"""Golden CLI outputs: fixed-seed runs must print byte-identical text
+across versions, not just across two runs of one build.
+
+Each case runs ``python -m fastdice`` as a subprocess.  A case that exits
+0 has its stdout in ``golden/<name>.txt`` and must write nothing to
+stderr; a case that exits 2 has its stderr there and must write nothing
+to stdout.  The files were captured by running this module as a script
+(``python tests/test_golden.py``) in a checkout of the code whose output
+they pin; rewriting them is a deliberate change of the CLI's output.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+HERE = Path(__file__).resolve().parent
+GOLDEN = HERE / "golden"
+SRC = HERE.parent / "src"
+
+CASES = {
+    "uniform_plain": (["uniform", "--n", "6", "--count", "25", "--seed", "7"], 0),
+    "uniform_wide": (["uniform", "--n", str(3 ** 39), "--count", "10",
+                      "--seed", "11"], 0),
+    "uniform_batch3": (["uniform", "--n", "5", "--count", "12", "--batch", "3",
+                        "--seed", "2"], 0),
+    "uniform_batch_auto_csv": (["uniform", "--n", "3", "--count", "78",
+                                "--batch", "auto", "--seed", "1",
+                                "--format", "csv"], 0),
+    "perm_fy": (["perm", "--n", "12", "--count", "5", "--seed", "2"], 0),
+    "perm_unrank": (["perm", "--n", "20", "--count", "4", "--method", "unrank",
+                     "--seed", "3"], 0),
+    "perm_lehmer": (["perm", "--n", "9", "--count", "4", "--method", "lehmer",
+                     "--seed", "4"], 0),
+    "bernoulli_small": (["bernoulli", "--num", "2", "--den", "5",
+                         "--count", "40", "--seed", "5"], 0),
+    "bernoulli_wide": (["bernoulli", "--num", str((2 ** 62 - 1) // 3),
+                        "--den", str(2 ** 62 - 1), "--count", "40",
+                        "--seed", "6"], 0),
+    "cost_batch2": (["cost", "--n-min", "2", "--n-max", "40", "--batch", "2"], 0),
+    "cost_asymptotic3": (["cost", "--n-min", "1000", "--n-max", "1030",
+                          "--asymptotic", "3"], 0),
+    "bench": (["bench", "--n", "5", "--count", "3000", "--seed", "1"], 0),
+    "error_batch_count": (["uniform", "--n", "3", "--count", "5",
+                           "--batch", "2"], 2),
+    "error_improper": (["bernoulli", "--num", "3", "--den", "2"], 2),
+    "error_unrank_cap": (["perm", "--n", "21", "--method", "unrank"], 2),
+}
+
+
+def run_case(name):
+    argv, _ = CASES[name]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-m", "fastdice", *argv],
+                          capture_output=True, env=env)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    status = CASES[name][1]
+    proc = run_case(name)
+    assert proc.returncode == status
+    shown, silent = ((proc.stdout, proc.stderr) if status == 0
+                     else (proc.stderr, proc.stdout))
+    assert silent == b""
+    assert shown == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (_, status) in CASES.items():
+        proc = run_case(name)
+        assert proc.returncode == status, (name, proc.returncode, proc.stderr)
+        (GOLDEN / f"{name}.txt").write_bytes(
+            proc.stdout if status == 0 else proc.stderr)
