@@ -69,11 +69,9 @@ def binary_expansion(p: Rational, count: int) -> list[int]:
 def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     """Return 1 with probability exactly p.num/p.den.
 
-    Consumes the flips up to and including the first 1, read with one
-    ``until_one`` call; that count t is the stopping position, and the
-    answer is expansion bit t.  The flip stream decides the position and
-    never mixes with the expansion values.  Degenerate biases 0 and 1
-    return immediately with zero flips.
+    Consumes one flip per expansion bit inspected; the flip stream decides
+    the stopping position and never mixes with the expansion values.
+    Degenerate biases 0 and 1 return immediately with zero flips.
 
     Raises:
         ValueError: den beyond the 2**62 doubling guard.
@@ -84,9 +82,15 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
         return 0
     if p.num == p.den:
         return 1
-    # Bit t of num/den is 1 exactly when twice the remainder after t-1
-    # doublings, num * 2**(t-1) mod den, reaches den.  Modular pow finds
-    # it in O(log t) steps, with no doubling loop over the skipped bits.
-    t = source.until_one()
+    v = p.num
     den = p.den
-    return int(2 * (p.num * pow(2, t - 1, den) % den) >= den)
+    next_bit = source.next_bit
+    while True:
+        v <<= 1
+        if v >= den:
+            v -= den
+            b = 1
+        else:
+            b = 0
+        if next_bit():
+            return b

@@ -2,18 +2,17 @@
 
 Samplers in this package consume randomness through the
 ``RandomBitSource`` interface: one bit at a time with ``next_bit``, or, as
-fast paths over the same stream, a run of k bits read as one integer
-(``next_bits``) or every flip up to the first 1 (``until_one``).  The
-production source buffers 32-bit words from an injected word generator
-and serves their bits most significant first, so k bits cost exactly
-ceil(k/32) words however they are read.  A scripted source replays a
+a fast path over the same stream, k bits read as one integer with
+``next_bits``.  The production source buffers 32-bit words from an
+injected word generator and serves their bits most significant first, so
+k bits cost exactly ceil(k/32) words however they are read.  A scripted source replays a
 fixed bit list for tests and worked traces.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, NoReturn, Protocol
+from typing import Iterable, Protocol
 
 from .errors import ScriptExhausted
 
@@ -66,8 +65,8 @@ class RandomBitSource(ABC):
     """A stream of fair bits, with an auditable consumption counter.
 
     ``next_bit`` is the only reading method a subclass must define.
-    ``next_bits`` and ``until_one`` default to loops over it; a subclass
-    may override them with faster reads of the same stream.
+    ``next_bits`` defaults to a loop over it; a subclass may override it
+    with a faster read of the same stream.
     """
 
     @abstractmethod
@@ -83,14 +82,6 @@ class RandomBitSource(ABC):
             x = (x << 1) | next_bit()
         return x
 
-    def until_one(self) -> int:
-        """Read bits up to and including the first 1; return how many."""
-        next_bit = self.next_bit
-        t = 1
-        while not next_bit():
-            t += 1
-        return t
-
     @abstractmethod
     def bits_consumed(self) -> int:
         """Total bits served since construction or the last counter reset."""
@@ -105,9 +96,9 @@ class BufferedWordSource(RandomBitSource):
 
     Bits leave the buffer most significant first; a fresh word is fetched
     only when all 32 bits are spent and another bit is needed, so k bits
-    cost exactly ceil(k/32) words whether they are read by ``next_bit``,
-    ``next_bits`` or ``until_one``.  State is per instance: independent
-    sources never share a buffer or counter.
+    cost exactly ceil(k/32) words whether they are read by ``next_bit``
+    or ``next_bits``.  State is per instance: independent sources never
+    share a buffer or counter.
     """
 
     def __init__(self, seed_or_generator: int | WordGenerator = 0):
@@ -160,22 +151,6 @@ class BufferedWordSource(RandomBitSource):
         self._count += k
         return (x << k) | (word >> pos)
 
-    def until_one(self) -> int:
-        pos = self._pos
-        word = self._word & ((1 << pos) - 1)  # the unread bits
-        start = self._count
-        while not word:
-            self._count += pos
-            self._pos = 0
-            word = self._gen.next_word()
-            self._words_fetched += 1
-            pos = 32
-        left = word.bit_length() - 1  # bits left after the first 1
-        self._word = word
-        self._pos = left
-        self._count += pos - left
-        return self._count - start
-
     def bits_consumed(self) -> int:
         return self._count
 
@@ -190,11 +165,11 @@ class BufferedWordSource(RandomBitSource):
 class ScriptedBitSource(RandomBitSource):
     """Replays an explicit bit sequence; raises ScriptExhausted at the end.
 
-    A ``next_bits`` or ``until_one`` read that runs past the end consumes
-    every bit left before it raises, exactly as the same read made with
-    ``next_bit`` calls would.  So after ScriptExhausted, ``remaining`` is
-    0, ``bits_consumed`` has counted the whole rest of the script, and
-    the message names the script's full length, whichever method read.
+    ``next_bits`` is the default loop over ``next_bit``, so a read that
+    runs past the end consumes every bit left before it raises.  After
+    ScriptExhausted, ``remaining`` is 0, ``bits_consumed`` has counted the
+    whole rest of the script, and the message names the script's full
+    length, whichever method read.
     """
 
     def __init__(self, bits: Iterable[int]):
@@ -204,38 +179,12 @@ class ScriptedBitSource(RandomBitSource):
 
     def next_bit(self) -> int:
         if self._next >= len(self._bits):
-            self._exhaust()
+            raise ScriptExhausted(
+                f"bit script exhausted after {self._next} bits")
         b = self._bits[self._next]
         self._next += 1
         self._count += 1
         return b
-
-    def next_bits(self, k: int) -> int:
-        chunk = self._bits[self._next:self._next + k]
-        if len(chunk) < k:
-            self._exhaust()
-        self._next += k
-        self._count += k
-        x = 0
-        for b in chunk:
-            x = (x << 1) | b
-        return x
-
-    def until_one(self) -> int:
-        try:
-            t = self._bits.index(1, self._next) - self._next + 1
-        except ValueError:
-            self._exhaust()
-        self._next += t
-        self._count += t
-        return t
-
-    def _exhaust(self) -> NoReturn:
-        """Consume the rest of the script, as reading it bit by bit would,
-        then raise."""
-        self._count += len(self._bits) - self._next
-        self._next = len(self._bits)
-        raise ScriptExhausted(f"bit script exhausted after {self._next} bits")
 
     def bits_consumed(self) -> int:
         return self._count

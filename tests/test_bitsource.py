@@ -164,49 +164,25 @@ def test_reset_mid_stream_with_bulk_reads():
     first = src.next_bits(45)
     src.reset_bit_count()
     assert src.bits_consumed() == 0
-    t = src.until_one()
+    mid = src.next_bit()
     cont = src.next_bits(20)
-    assert src.bits_consumed() == t + 20
+    assert src.bits_consumed() == 21
     ref = BufferedWordSource(7)
     assert ref.next_bits(45) == first
-    assert ref.next_bits(t) == 1
+    assert ref.next_bit() == mid
     assert ref.next_bits(20) == cont
     assert ref.words_fetched == src.words_fetched
-
-
-@pytest.mark.parametrize("words, t", [
-    ([0x80000000], 1),
-    ([0x00000001], 32),
-    ([0, 0, 0x40000000], 66),
-])
-def test_until_one_counts_through_zero_words(words, t):
-    src = BufferedWordSource(ScriptedWords(words))
-    assert src.until_one() == t
-    assert src.bits_consumed() == t
-    assert src.words_fetched == len(words)
-
-
-def test_until_one_equals_next_bit_loop():
-    bulk, single = BufferedWordSource(11), BufferedWordSource(11)
-    for _ in range(2000):
-        t = 1
-        while not single.next_bit():
-            t += 1
-        assert bulk.until_one() == t
-        assert bulk.bits_consumed() == single.bits_consumed()
-        assert bulk.words_fetched == single.words_fetched
 
 
 def test_scripted_bulk_reads():
     src = ScriptedBitSource([1, 0, 1, 1, 0, 0, 0, 1, 0])
     assert src.next_bits(4) == 0b1011
-    assert src.until_one() == 4
+    assert src.next_bits(4) == 0b0001
     assert src.bits_consumed() == 8
     assert src.remaining == 1
 
 
 @pytest.mark.parametrize("read", [lambda s: s.next_bits(4),
-                                  lambda s: s.until_one(),
                                   lambda s: [s.next_bit() for _ in range(4)]])
 def test_scripted_exhaustion_state_is_method_independent(read):
     src = ScriptedBitSource([1, 0, 0, 0, 0])
@@ -219,7 +195,6 @@ def test_scripted_exhaustion_state_is_method_independent(read):
 
 
 @pytest.mark.parametrize("read", [lambda s: s.next_bits(80),
-                                  lambda s: s.until_one(),
                                   lambda s: [s.next_bit() for _ in range(80)]])
 def test_buffered_word_exhaustion_state_is_method_independent(read):
     # A read that outruns the word script leaves the counters where the

@@ -54,7 +54,7 @@ def reference_bernoulli(source, p):
 
 class NextBitOnly(RandomBitSource):
     """A custom source that defines only next_bit, so the samplers reach
-    it through RandomBitSource's default next_bits and until_one."""
+    it through RandomBitSource's default next_bits."""
 
     def __init__(self, inner):
         self._inner = inner
