@@ -12,41 +12,17 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterator
 
 from .batch import auto_batch_size, batch_uniform, plan_batch
 from .bernoulli import Rational, bernoulli_rational
 from .bitsource import BufferedWordSource
 from .core import fdr_uniform
-from .cost import AsymptoticParams, asymptotic_cost, batch_cost, exact_cost
+from .cost import AsymptoticParams, batch_cost, cost_breakdown, exact_cost
 from .errors import FactorialOverflow, FastdiceError
 from .permutation import (MAX_UNRANK_SIZE, Rank, factorial_decompose,
                           fisher_yates, lehmer_to_permutation_selection,
                           random_permutation_unranked)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common knobs of one CLI run; equal configs give identical bytes."""
-
-    subcommand: str
-    seed: int
-    count: int
-    format: str
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Empirical bit cost next to the theoretical prediction."""
-
-    n: int
-    count: int
-    total_bits: int
-    mean_bits_per_variate: float
-    u_theory: float
-    abs_deviation: float
-    chi_square: float
-    df: int
 
 
 def _real(x: float) -> str:
@@ -134,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measure bits per variate against theory")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--count", type=_positive, required=True)
-    p.add_argument("--batch", type=_positive, default=None, metavar="J")
+    p.add_argument("--batch", default=None, metavar="J|auto",
+                   help="draw J values per master draw (count must divide)")
     p.set_defaults(func=cmd_bench)
     return parser
 
@@ -153,23 +130,32 @@ def _resolve_batch(flag: str | None, n: int) -> int | None:
     return j
 
 
-def cmd_uniform(config: RunConfig, args: argparse.Namespace) -> int:
-    source = BufferedWordSource(config.seed)
+def _uniform_draws(args: argparse.Namespace
+                   ) -> tuple[BufferedWordSource, int | None, Iterator[int]]:
+    """Validate --n/--count/--batch, then return (source, j, values).
+
+    j is None for single draws.  values lazily yields the count draws
+    (j base-n digits per master draw when batched), so a caller that
+    only tallies them holds none in memory.
+    """
+    source = BufferedWordSource(args.seed)
     j = _resolve_batch(args.batch, args.n)
-    values: list[int] = []
     if j is None:
-        calls = config.count
-        for _ in range(calls):
-            values.append(fdr_uniform(source, args.n).value)
-    else:
-        if config.count % j != 0:
-            raise FastdiceError(
-                f"--count {config.count} is not a multiple of batch size {j}")
-        plan = plan_batch(args.n, j)
-        calls = config.count // j
-        for _ in range(calls):
-            values.extend(batch_uniform(source, plan))
-    if config.format == "csv":
+        return source, None, (
+            fdr_uniform(source, args.n).value for _ in range(args.count))
+    if args.count % j != 0:
+        raise FastdiceError(
+            f"--count {args.count} is not a multiple of batch size {j}")
+    plan = plan_batch(args.n, j)
+    return source, j, (v for _ in range(args.count // j)
+                       for v in batch_uniform(source, plan))
+
+
+def cmd_uniform(args: argparse.Namespace) -> int:
+    source, j, draws = _uniform_draws(args)
+    values = list(draws)
+    calls = args.count // (j or 1)
+    if args.format == "csv":
         print("value")
     for v in values:
         print(v)
@@ -177,12 +163,12 @@ def cmd_uniform(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perm(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_perm(args: argparse.Namespace) -> int:
     if args.method != "fy" and args.n > MAX_UNRANK_SIZE:
         raise FactorialOverflow(
             f"{args.n}! exceeds the 64-bit working range (cap is n = 20)")
-    source = BufferedWordSource(config.seed)
-    for _ in range(config.count):
+    source = BufferedWordSource(args.seed)
+    for _ in range(args.count):
         if args.method == "fy":
             perm = fisher_yates(source, args.n)
         elif args.method == "unrank":
@@ -192,73 +178,58 @@ def cmd_perm(config: RunConfig, args: argparse.Namespace) -> int:
             perm = lehmer_to_permutation_selection(
                 factorial_decompose(Rank(u, args.n)))
         print(" ".join(str(v) for v in perm))
-    print(f"# bits={source.bits_consumed()} calls={config.count}")
+    print(f"# bits={source.bits_consumed()} calls={args.count}")
     return 0
 
 
-def cmd_bernoulli(config: RunConfig, args: argparse.Namespace) -> int:
-    source = BufferedWordSource(config.seed)
+def cmd_bernoulli(args: argparse.Namespace) -> int:
+    source = BufferedWordSource(args.seed)
     p = Rational(args.num, args.den)
-    bits = [bernoulli_rational(source, p) for _ in range(config.count)]
-    if config.format == "csv":
+    bits = [bernoulli_rational(source, p) for _ in range(args.count)]
+    if args.format == "csv":
         print("bit")
     for b in bits:
         print(b)
-    print(f"# bits={source.bits_consumed()} calls={config.count}")
+    print(f"# bits={source.bits_consumed()} calls={args.count}")
     return 0
 
 
-def cmd_cost(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_cost(args: argparse.Namespace) -> int:
+    if args.n_min < 2:
+        raise FastdiceError("--n-min must be >= 2")
     if args.n_min > args.n_max:
         raise FastdiceError("--n-min must not exceed --n-max")
+    if args.batch is not None:
+        plan_batch(args.n_max, args.batch)  # the largest n**J, before any row
     params = AsymptoticParams(k_terms=args.asymptotic)
     header = "n,u_exact,log2n,toll,u_asymptotic"
     if args.batch is not None:
         header += ",u_batch"
     print(header)
     for n in range(args.n_min, args.n_max + 1):
-        u = exact_cost(n)
-        log2n = math.log2(n)
-        row = [str(n), _real(u), _real(log2n), _real(u - log2n),
-               _real(asymptotic_cost(n, params))]
+        row = cost_breakdown(n, params)
+        cells = [str(n), _real(row.exact_cost), _real(row.log2n),
+                 _real(row.toll), _real(row.asymptotic)]
         if args.batch is not None:
-            row.append(_real(batch_cost(n, args.batch)))
-        print(",".join(row))
+            cells.append(_real(batch_cost(n, args.batch)))
+        print(",".join(cells))
     return 0
 
 
-def cmd_bench(config: RunConfig, args: argparse.Namespace) -> int:
-    source = BufferedWordSource(config.seed)
+def cmd_bench(args: argparse.Namespace) -> int:
+    source, j, draws = _uniform_draws(args)
     counts: dict[int, int] = {}
-    if args.batch is None:
-        for _ in range(config.count):
-            v = fdr_uniform(source, args.n).value
-            counts[v] = counts.get(v, 0) + 1
-        theory = exact_cost(args.n)
-    else:
-        if config.count % args.batch != 0:
-            raise FastdiceError(
-                f"--count {config.count} is not a multiple of batch size "
-                f"{args.batch}")
-        plan = plan_batch(args.n, args.batch)
-        for _ in range(config.count // args.batch):
-            for v in batch_uniform(source, plan):
-                counts[v] = counts.get(v, 0) + 1
-        theory = batch_cost(args.n, args.batch)
+    for v in draws:
+        counts[v] = counts.get(v, 0) + 1
+    theory = exact_cost(args.n) if j is None else batch_cost(args.n, j)
     total_bits = source.bits_consumed()
-    mean = total_bits / config.count
-    report = BenchReport(
-        n=args.n, count=config.count, total_bits=total_bits,
-        mean_bits_per_variate=mean, u_theory=theory,
-        abs_deviation=abs(mean - theory),
-        chi_square=_chi_square(counts, args.n, config.count),
-        df=args.n - 1)
+    mean = total_bits / args.count
     print("n,count,total_bits,mean_bits_per_variate,u_theory,"
           "abs_deviation,chi_square,df")
-    print(",".join([str(report.n), str(report.count), str(report.total_bits),
-                    _real(report.mean_bits_per_variate),
-                    _real(report.u_theory), _real(report.abs_deviation),
-                    _real(report.chi_square), str(report.df)]))
+    print(",".join([str(args.n), str(args.count), str(total_bits),
+                    _real(mean), _real(theory), _real(abs(mean - theory)),
+                    _real(_chi_square(counts, args.n, args.count)),
+                    str(args.n - 1)]))
     return 0
 
 
@@ -281,11 +252,8 @@ def _chi_square(counts: dict[int, int], n: int, total: int) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        subcommand=args.subcommand, seed=getattr(args, "seed", 0),
-        count=getattr(args, "count", 0), format=getattr(args, "format", "text"))
     try:
-        return args.func(config, args)
+        return args.func(args)
     except (FastdiceError, ValueError) as exc:
         print(f"fastdice: error: {exc}", file=sys.stderr)
         return 2

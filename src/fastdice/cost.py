@@ -4,12 +4,16 @@ The expected bits u(n) used by the optimal sampler equal
 ``sum_k (2**k mod n) / 2**k``.  Because 2**k mod n is eventually periodic
 (pre-period = the power of two in n, period = the multiplicative order of
 2 modulo the odd part m), the series has an exact rational value, which
-this module computes in closed form.  On top of that sit the toll
-t(n) = u(n) - log2(n) in [0, 2], the per-value cost of batched draws
-u(n**j)/j, the Knuth-Yao nu function for general biases, and the smooth
-approximation log2(n) + constant + P(log2 n), whose Fourier fluctuation P
-needs the Riemann zeta function on the line Re(s) = 1 (computed here by
-Euler-Maclaurin summation; no external math dependency).
+this module computes in closed form.  That period can be about m steps
+long, so the float-returning functions take another route: they sum
+about m.bit_length() + 72 terms of the series and return the double
+only once the tail bound certifies that it is correctly rounded.  On
+top of that sit the toll t(n) = u(n) - log2(n) in [0, 2], the per-value
+cost of batched draws u(n**j)/j, the Knuth-Yao nu function for general
+biases, and the smooth approximation log2(n) + constant + P(log2 n),
+whose Fourier fluctuation P needs the Riemann zeta function on the line
+Re(s) = 1 (computed here by Euler-Maclaurin summation; no external math
+dependency).
 """
 
 from __future__ import annotations
@@ -20,19 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .batch import plan_batch
 from .bernoulli import Rational
-from .errors import Overflow, PoleAtOne
+from .errors import PoleAtOne
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
-
-# Overflow guard shared with the batch sampler.
-_MAX_BATCH_RANGE = 1 << 62
-
-# The float-returning operations fall back from the exact rational path
-# to a truncated tail sum when the period is longer than this; the
-# fallback's error (< 2**-70) is invisible at double precision.
-_PERIOD_CAP = 1 << 16
 
 
 def _split_power_of_two(n: int) -> tuple[int, int]:
@@ -41,15 +38,13 @@ def _split_power_of_two(n: int) -> tuple[int, int]:
     return a, n >> a
 
 
-def _period_of_two(m: int, cap: int | None = None) -> int | None:
-    """Multiplicative order of 2 modulo odd m >= 3, or None past cap."""
+def _period_of_two(m: int) -> int:
+    """Multiplicative order of 2 modulo odd m >= 3 (about m steps at worst)."""
     x = 2 % m
     d = 1
     while x != 1:
         x = (x << 1) % m
         d += 1
-        if cap is not None and d > cap:
-            return None
     return d
 
 
@@ -92,14 +87,42 @@ def _periodic_cost_part(m: int, d: int) -> Fraction:
     return Fraction(m * (d * e - v) + d, big)
 
 
-def _truncated_cost_part(m: int, terms: int) -> Fraction:
-    """Partial sum of (2**k mod m) / 2**k over k < terms (tail < m*2**(1-terms))."""
+def _horner(r: int, mod: int, terms: int) -> int:
+    """sum of (r * 2**k mod mod) * 2**(terms-1-k) over k < terms.
+
+    Divided by 2**(terms-1) this is the partial sum of
+    (r * 2**k mod mod) / 2**k; each omitted term is below mod / 2**k, so
+    the tail is below mod * 2**(1-terms).
+    """
     acc = 0
-    r = 1 % m
     for _ in range(terms):
         acc = (acc << 1) + r
-        r = (r << 1) % m
-    return Fraction(acc, 1 << (terms - 1))
+        r = (r << 1) % mod
+    return acc
+
+
+def _series_double(r: int, mod: int, den: int, terms: int) -> float:
+    """sum of (r * 2**k mod mod) / (den * 2**k) over all k >= 0, correctly
+    rounded to a double.
+
+    With acc = _horner(r, mod, terms) and scale = den * 2**(terms-1), the
+    sum lies in [acc/scale, (acc+mod)/scale).  Rounding is monotone, so
+    once both ends round to the same double (int true division rounds
+    correctly) the sum does too; otherwise 64 more terms are taken.
+    Runtime grows with terms, never with the period of 2 mod mod.
+
+    Callers start at mod.bit_length() + 72 terms.  The tail is then
+    below 2**-71 / den, and the sum is at least its first term
+    r/den >= 1/den: 18 bits past a double's 53, so a first pass fails
+    only within about 2**-18 ulp of a rounding boundary.
+    """
+    while True:
+        acc = _horner(r, mod, terms)
+        scale = den << (terms - 1)
+        low = acc / scale
+        if low == (acc + mod) / scale:
+            return low
+        terms += 64
 
 
 def exact_cost_rational(n: int) -> Fraction:
@@ -128,27 +151,23 @@ def cost_partial_sum(n: int, terms: int) -> Fraction:
         raise ValueError(f"need n >= 1, got {n}")
     if terms < 1:
         raise ValueError("need at least one term")
-    return _truncated_cost_part(n, terms)
+    return Fraction(_horner(1 % n, n, terms), 1 << (terms - 1))
 
 
 def exact_cost(n: int) -> float:
     """Expected bits of the exact uniform sampler on n values, as a double.
 
-    Prefers the exact rational path; when the period of 2 mod the odd
-    part exceeds 2**16 it switches to a truncated sum whose tail is below
-    2**-70, far under double resolution either way.
+    For n = 2**a * m with m odd, returns a + (the odd part's series,
+    correctly rounded).  The series is summed to about
+    m.bit_length() + 72 terms and certified against its tail bound, so
+    the time depends on the bit length of n, not on the period of 2 mod m.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a, m = _split_power_of_two(n)
     if m == 1:
         return float(a)
-    d = _period_of_two(m, cap=_PERIOD_CAP)
-    if d is not None:
-        part = _periodic_cost_part(m, d)
-    else:
-        part = _truncated_cost_part(m, m.bit_length() + 72)
-    return a + float(part)
+    return a + _series_double(1, m, 1, m.bit_length() + 72)
 
 
 def toll(n: int) -> float:
@@ -165,16 +184,10 @@ def batch_cost(n: int, j: int) -> float:
     Equals u(n**j)/j, which sits within 2/j bits of log2(n).
 
     Raises:
+        ValueError: n < 2 or j < 1.
         Overflow: n**j > 2**62 (the sampler could not run the batch).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
-    power = n ** j
-    if power > _MAX_BATCH_RANGE:
-        raise Overflow(f"{n}**{j} exceeds 2**62")
-    return exact_cost(power) / j
+    return exact_cost(plan_batch(n, j).n_pow_j) / j
 
 
 def nu_exact(p: Rational) -> Fraction:
@@ -182,7 +195,10 @@ def nu_exact(p: Rational) -> Fraction:
 
     nu(p) is the expected flips an optimal sampler spends on an outcome
     of probability p.  Computed from the eventual periodicity of
-    2**k * num mod den, like the uniform cost.
+    2**k * num mod den, like the uniform cost.  Runtime and result size
+    grow with the multiplicative order of 2 mod the odd part of den
+    (worst case about den, and the period's digits are accumulated one
+    by one); use nu when a double is enough.
     """
     num, den = p.num, p.den
     g = math.gcd(num, den)
@@ -193,30 +209,21 @@ def nu_exact(p: Rational) -> Fraction:
     a, w = _split_power_of_two(den)
     total = Fraction(0)
     if a > 0:
-        acc = 0
-        r = num % den
-        for _ in range(a):
-            acc = (acc << 1) + r
-            r = (r << 1) % den
-        total += Fraction(acc, den << (a - 1))
+        total += Fraction(_horner(num % den, den, a), den << (a - 1))
     if w > 1:
         d = _period_of_two(w)
-        acc = 0
-        z = num % w
-        for _ in range(d):
-            acc = (acc << 1) + z
-            z = (z << 1) % w
-        total += Fraction(acc << 1, (w << a) * ((1 << d) - 1))
+        total += Fraction(_horner(num % w, w, d) << 1,
+                          (w << a) * ((1 << d) - 1))
     return total
 
 
-def nu(p: Rational, precision_bits: int = 64) -> float:
-    """nu(p) as a double, accurate to better than 2**(1 - precision_bits).
+def nu(p: Rational) -> float:
+    """nu(p) as a double, correctly rounded.
 
-    Rational inputs with an affordable period are computed exactly; a
-    denominator whose odd part has multiplicative order beyond 2**16
-    falls back to a truncated sum of precision_bits terms, whose tail is
-    below 2**(1 - precision_bits) since every term is under 2**-k.
+    A dyadic p is computed exactly.  Otherwise the series of
+    frac(2**k * p) / 2**k is summed to about den.bit_length() + 72 terms
+    and certified against its tail bound, like exact_cost, so the time
+    depends on the bit length of the denominator, not on its period.
     """
     num, den = p.num, p.den
     g = math.gcd(num, den)
@@ -224,16 +231,9 @@ def nu(p: Rational, precision_bits: int = 64) -> float:
     den //= g
     if num == 0 or den == 1:
         return 0.0
-    _, w = _split_power_of_two(den)
-    if w == 1 or _period_of_two(w, cap=_PERIOD_CAP) is not None:
+    if _split_power_of_two(den)[1] == 1:
         return float(nu_exact(p))
-    terms = max(precision_bits, 64)
-    acc = 0
-    r = num % den
-    for _ in range(terms):
-        acc = (acc << 1) + r
-        r = (r << 1) % den
-    return float(Fraction(acc, den << (terms - 1)))
+    return _series_double(num % den, den, den, den.bit_length() + 72)
 
 
 # ---------------------------------------------------------------------------

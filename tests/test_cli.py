@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from fastdice import BufferedWordSource, batch_cost, fdr_uniform
+from fastdice import (BufferedWordSource, auto_batch_size, batch_cost,
+                      fdr_uniform)
 from fastdice.cli import main
 
 FOOTER = re.compile(r"^# bits=(\d+) calls=(\d+)$")
@@ -229,6 +230,17 @@ def test_bench_batch_theory_column(capsys):
 def test_bench_divisibility_error():
     r = run_cli("bench", "--n", "3", "--count", "601", "--batch", "6")
     assert r.returncode == 2
+
+
+def test_bench_batch_auto_is_auto_batch_size(capsys):
+    for n in (3, 10, 1000):
+        j = auto_batch_size(n)
+        argv = ["bench", "--n", str(n), "--count", str(4 * j), "--seed", "6",
+                "--batch"]
+        assert main(argv + ["auto"]) == 0
+        auto = capsys.readouterr().out
+        assert main(argv + [str(j)]) == 0
+        assert capsys.readouterr().out == auto
 
 
 # ------------------------------------------------------- reproducibility

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -9,6 +10,7 @@ from fastdice import (AsymptoticParams, CostBreakdown, Overflow, PoleAtOne,
                       Rational, asymptotic_cost, batch_cost, cost_breakdown,
                       cost_partial_sum, exact_cost, exact_cost_rational, nu,
                       nu_exact, periodic_fluctuation, toll, zeta_complex)
+from fastdice import cost as cost_module
 from fastdice.cost import LN2
 
 
@@ -48,19 +50,67 @@ def test_rational_vs_truncated_cross_check():
             assert 0 <= exact - partial < Fraction(n, 1 << (terms - 1))
 
 
+# exact_cost_rational of 3**13 takes seconds; several tests need it
+cached_rational = lru_cache(maxsize=None)(exact_cost_rational)
+
+
+def rounded_cost(n):
+    """a + float(odd part's exact rational), the rounding exact_cost does."""
+    a = (n & -n).bit_length() - 1
+    return a + float(cached_rational(n >> a))
+
+
 def test_float_route_matches_rational():
-    for n in [2, 3, 5, 24, 729, 4095, 104729]:
-        assert exact_cost(n) == pytest.approx(float(exact_cost_rational(n)),
-                                              abs=1e-12)
+    # the float route is the certified truncated series; it must give the
+    # exact rational's double bit for bit, also where the period of 2 is
+    # long (2*3**11 for 3**12, 2*3**12 for 3**13)
+    for n in [2, 3, 5, 24, 729, 4095, 104729, 3 ** 12, 3 ** 13, 3 ** 12 * 64]:
+        assert exact_cost(n) == rounded_cost(n)
 
 
 def test_truncated_fallback_past_period_cap():
-    # ord of 2 mod 3**12 is 2*3**11 = 354294 > 2**16, which pushes
-    # exact_cost onto its truncated route; the rational route still works
-    # and the two must agree to double precision
+    # ord of 2 mod 3**12 is 2*3**11 = 354294; the float route never looks
+    # for it, and the two routes agree to the last bit
     n = 3 ** 12
-    assert exact_cost(n) == pytest.approx(float(exact_cost_rational(n)),
-                                          abs=1e-13)
+    assert exact_cost(n) == float(cached_rational(n))
+
+
+def test_float_routes_never_need_the_period(monkeypatch):
+    # the float functions run in time set by the bit length, so they
+    # must not look for the period of 2 (about 2**62 steps for some m)
+    def refuse(m):
+        raise AssertionError(f"period of 2 mod {m} requested")
+    monkeypatch.setattr(cost_module, "_period_of_two", refuse)
+    for n in [3 ** 12, 3 ** 39, 2 ** 61 - 1, 2 ** 62 - 1, 10 ** 18 + 9]:
+        assert exact_cost(n) >= math.log2(n)
+        assert 0.0 <= toll(n) <= 2.0
+        assert cost_breakdown(n).exact_cost == exact_cost(n)
+        assert 0.0 < nu(Rational(1, n)) < 1.0
+    assert math.log2(3) < batch_cost(3, 39) < math.log2(3) + 2 / 39
+    assert batch_cost(1000, 3) == exact_cost(10 ** 9) / 3
+
+
+def test_certification_extends_the_series(monkeypatch):
+    # starting from one term the tail bound cannot certify a double, so the
+    # series grows by 64 terms at a time until it does, and still lands on
+    # the exact rational's double
+    calls = []
+    horner = cost_module._horner
+
+    def counting(r, mod, terms):
+        calls.append(terms)
+        return horner(r, mod, terms)
+    monkeypatch.setattr(cost_module, "_horner", counting)
+    for n in [3, 7, 3 ** 13, 104729]:
+        calls.clear()
+        assert cost_module._series_double(1, n, 1, 1) == \
+            float(cached_rational(n))
+        assert calls[:2] == [1, 65]
+    calls.clear()
+    n = 3 ** 12
+    assert cost_module._series_double(1, n, n, 1) == \
+        float(cached_rational(n) / n) == nu(Rational(1, n))
+    assert len(calls) > 1
 
 
 def test_doubling_identity():
@@ -123,7 +173,7 @@ def test_batch_toll_bound():
 
 def test_batch_cost_huge_exponent():
     # 3**39 fits under 2**62 but its period is astronomically long; the
-    # truncated route keeps this affordable
+    # float route sums about 134 terms whatever the period
     val = batch_cost(3, 39)
     assert math.log2(3) < val < math.log2(3) + 2 / 39
 
@@ -169,13 +219,15 @@ def test_nu_ignores_common_factors():
 
 
 def test_nu_float_route():
-    for num, den in [(1, 3), (3, 7), (7, 16), (1, 97)]:
-        assert nu(Rational(num, den)) == pytest.approx(
-            float(nu_exact(Rational(num, den))), abs=1e-14)
+    for num, den in [(1, 3), (3, 7), (7, 16), (1, 97), (5, 24), (2, 6)]:
+        assert nu(Rational(num, den)) == float(nu_exact(Rational(num, den)))
+    # long periods: n * nu(1/n) = u(n) gives the exact rational cheaply
+    for n in (3 ** 12, 3 ** 13):
+        assert nu(Rational(1, n)) == float(cached_rational(n) / n)
 
 
 def test_nu_truncated_fallback():
-    # denominator with period beyond the cap: check against u(n)/n
+    # denominator with a long period (2*3**11): check against u(n)/n
     n = 3 ** 12
     assert nu(Rational(1, n)) == pytest.approx(exact_cost(n) / n, abs=1e-12)
 

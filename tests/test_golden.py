@@ -47,6 +47,9 @@ CASES = {
                            "--batch", "2"], 2),
     "error_improper": (["bernoulli", "--num", "3", "--den", "2"], 2),
     "error_unrank_cap": (["perm", "--n", "21", "--method", "unrank"], 2),
+    "error_cost_n_min": (["cost", "--n-min", "1", "--n-max", "5"], 2),
+    "error_cost_batch_overflow": (["cost", "--n-min", "2", "--n-max", "100",
+                                   "--batch", "10"], 2),
 }
 
 
