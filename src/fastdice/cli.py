@@ -18,7 +18,8 @@ from .batch import auto_batch_size, batch_uniform, plan_batch
 from .bernoulli import Rational, bernoulli_rational
 from .bitsource import BufferedWordSource
 from .core import fdr_uniform
-from .cost import AsymptoticParams, batch_cost, cost_breakdown, exact_cost
+from .cost import (AsymptoticParams, asymptotic_cost, batch_cost,
+                   cost_breakdown, exact_cost)
 from .errors import FactorialOverflow, FastdiceError
 from .permutation import (MAX_UNRANK_SIZE, Rank, factorial_decompose,
                           fisher_yates, lehmer_to_permutation_selection,
@@ -202,6 +203,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     if args.batch is not None:
         plan_batch(args.n_max, args.batch)  # the largest n**J, before any row
     params = AsymptoticParams(k_terms=args.asymptotic)
+    asymptotic_cost(args.n_min, params)  # the K coefficients, before any row
     header = "n,u_exact,log2n,toll,u_asymptotic"
     if args.batch is not None:
         header += ",u_batch"

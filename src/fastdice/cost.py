@@ -1,19 +1,20 @@
 """Expected-bit-cost theory for exact uniform sampling.
 
 The expected bits u(n) used by the optimal sampler equal
-``sum_k (2**k mod n) / 2**k``.  Because 2**k mod n is eventually periodic
-(pre-period = the power of two in n, period = the multiplicative order of
-2 modulo the odd part m), the series has an exact rational value, which
-this module computes in closed form.  That period can be about m steps
-long, so the float-returning functions take another route: they sum
-about m.bit_length() + 72 terms of the series and return the double
-only once the tail bound certifies that it is correctly rounded.  On
-top of that sit the toll t(n) = u(n) - log2(n) in [0, 2], the per-value
-cost of batched draws u(n**j)/j, the Knuth-Yao nu function for general
-biases, and the smooth approximation log2(n) + constant + P(log2 n),
-whose Fourier fluctuation P needs the Riemann zeta function on the line
-Re(s) = 1 (computed here by Euler-Maclaurin summation; no external math
-dependency).
+``sum_k (2**k mod n) / 2**k``, and the Knuth-Yao nu function of a bias
+num/den is the same series with residue num in place of 1, over den.
+Because r * 2**k mod n is eventually periodic (pre-period = the power of
+two in n, period = the multiplicative order of 2 modulo the odd part m),
+each series has an exact rational value, which this module computes in
+one closed form for both.  That period can be about m steps long, so the
+float-returning functions take another route: they sum about
+m.bit_length() + 72 terms of the series and return the double only once
+the tail bound certifies that it is correctly rounded.  On top of that
+sit the toll t(n) = u(n) - log2(n) in [0, 2], the per-value cost of
+batched draws u(n**j)/j, and the smooth approximation
+log2(n) + constant + P(log2 n), whose Fourier fluctuation P needs the
+Riemann zeta function on the line Re(s) = 1 (computed here by
+Euler-Maclaurin summation; no external math dependency).
 """
 
 from __future__ import annotations
@@ -73,18 +74,23 @@ def _weighted_bit_sum(x: int, width: int) -> int:
         (_weighted_bit_sum(hi, width - h) + h * hi) << h)
 
 
-def _periodic_cost_part(m: int, d: int) -> Fraction:
-    """Exact value of sum_k (2**k mod m) / 2**k for odd m with period d.
+def _periodic_cost_part(r: int, w: int) -> tuple[int, int]:
+    """sum_k (r * 2**k mod w) / 2**k for odd w >= 3 and any 0 <= r < w,
+    exactly, as an unreduced (numerator, denominator) pair.
 
-    One period of the binary expansion of 1/m is the integer
-    E = (2**d - 1) // m.  Position-weighting E's bits turns the doubly
-    infinite sum into (m*D + d) / (2**d - 1) with D = d*E - V, V the
-    weighted bit sum.  No term-by-term accumulation over the period.
+    With d the period of 2 mod w, one period of the binary expansion of
+    r/w is the integer E = r * (2**d - 1) // w.  Position-weighting E's
+    bits turns the doubly infinite sum into
+    (w*(d*E - V) + d*r) / (2**d - 1), V the weighted bit sum: d*E - V
+    weights each bit of the first period by its position, and d*r adds
+    the d positions by which each later period is shifted.  No
+    term-by-term accumulation over the period.
     """
+    d = _period_of_two(w)
     big = (1 << d) - 1
-    e = big // m
+    e = r * big // w
     v = _weighted_bit_sum(e, d)
-    return Fraction(m * (d * e - v) + d, big)
+    return w * (d * e - v) + d * r, big
 
 
 def _horner(r: int, mod: int, terms: int) -> int:
@@ -125,6 +131,24 @@ def _series_double(r: int, mod: int, den: int, terms: int) -> float:
         terms += 64
 
 
+def _series_exact(r: int, mod: int, den: int) -> Fraction:
+    """sum of (r * 2**k mod mod) / (den * 2**k) over all k >= 0, exactly.
+
+    The exact twin of _series_double.  With mod = 2**a * w, w odd, the
+    first a terms are a Horner sum; from term a on, r * 2**k mod mod is
+    2**a times (r mod w) * 2**(k-a) mod w, so the rest is the periodic
+    sum of r mod w over w, divided by den.  Both parts go over one common
+    denominator, so the Fraction is normalised once: at million-bit
+    periods that gcd costs more than finding the period and the bit sum.
+    """
+    a, w = _split_power_of_two(mod)
+    head = _horner(r, mod, a) << 1  # the first a terms, over den * 2**a
+    if w == 1:
+        return Fraction(head, den << a)
+    top, big = _periodic_cost_part(r % w, w)
+    return Fraction(head * big + (top << a), (den * big) << a)
+
+
 def exact_cost_rational(n: int) -> Fraction:
     """Expected bits of the exact uniform sampler on n values, exactly.
 
@@ -134,11 +158,7 @@ def exact_cost_rational(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a, m = _split_power_of_two(n)
-    if m == 1:
-        return Fraction(a)
-    d = _period_of_two(m)
-    return a + _periodic_cost_part(m, d)
+    return _series_exact(1 % n, n, 1)
 
 
 def cost_partial_sum(n: int, terms: int) -> Fraction:
@@ -190,31 +210,26 @@ def batch_cost(n: int, j: int) -> float:
     return exact_cost(plan_batch(n, j).n_pow_j) / j
 
 
+def _lowest_terms(p: Rational) -> tuple[int, int]:
+    """(num mod den, den) of p in lowest terms: the residue and modulus of
+    its series.  Both p = 0 and p = 1 give (0, 1), where nu is 0."""
+    g = math.gcd(p.num, p.den)
+    den = p.den // g
+    return p.num // g % den, den
+
+
 def nu_exact(p: Rational) -> Fraction:
     """Knuth-Yao nu at a rational: sum of frac(2**k * p) / 2**k, exactly.
 
     nu(p) is the expected flips an optimal sampler spends on an outcome
-    of probability p.  Computed from the eventual periodicity of
-    2**k * num mod den, like the uniform cost.  Runtime and result size
-    grow with the multiplicative order of 2 mod the odd part of den
-    (worst case about den, and the period's digits are accumulated one
-    by one); use nu when a double is enough.
+    of probability p.  It is the uniform cost's series with residue num
+    in place of 1, over den: the same closed form sums it, in time
+    linearithmic in the period.  Runtime and result size still grow with
+    the multiplicative order of 2 mod the odd part of den (worst case
+    about den); use nu when a double is enough.
     """
-    num, den = p.num, p.den
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    if num == 0 or den == 1:
-        return Fraction(0)  # nu(0) = nu(1) = 0
-    a, w = _split_power_of_two(den)
-    total = Fraction(0)
-    if a > 0:
-        total += Fraction(_horner(num % den, den, a), den << (a - 1))
-    if w > 1:
-        d = _period_of_two(w)
-        total += Fraction(_horner(num % w, w, d) << 1,
-                          (w << a) * ((1 << d) - 1))
-    return total
+    r, den = _lowest_terms(p)
+    return _series_exact(r, den, den)
 
 
 def nu(p: Rational) -> float:
@@ -225,15 +240,10 @@ def nu(p: Rational) -> float:
     and certified against its tail bound, like exact_cost, so the time
     depends on the bit length of the denominator, not on its period.
     """
-    num, den = p.num, p.den
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    if num == 0 or den == 1:
-        return 0.0
+    r, den = _lowest_terms(p)
     if _split_power_of_two(den)[1] == 1:
-        return float(nu_exact(p))
-    return _series_double(num % den, den, den, den.bit_length() + 72)
+        return float(_series_exact(r, den, den))
+    return _series_double(r, den, den, den.bit_length() + 72)
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +258,12 @@ _BERNOULLI_EVEN = (
 _EM_CORRECTIONS = 6  # Bernoulli corrections through B_12
 
 
-def _em_remainder_bound(s: complex, n_direct: int, corrections: int) -> float:
-    """Standard Euler-Maclaurin remainder: the first omitted correction
-    times |s + 2R + 1| / (Re(s) + 2R + 1)."""
-    two_r = 2 * corrections
-    b_next = abs(_BERNOULLI_EVEN[corrections])  # B_{2R+2}
+def _em_remainder_bound(s: complex, n_direct: int) -> float:
+    """Standard Euler-Maclaurin remainder after R = _EM_CORRECTIONS
+    corrections: the first omitted one times
+    |s + 2R + 1| / (Re(s) + 2R + 1)."""
+    two_r = 2 * _EM_CORRECTIONS
+    b_next = abs(_BERNOULLI_EVEN[_EM_CORRECTIONS])  # B_{2R+2}
     poch = 1.0
     for i in range(two_r + 1):
         poch *= abs(s + i)
@@ -281,7 +292,7 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
         raise ValueError(f"need Re(s) > 0, got {s}")
     for n_direct in (50, 100, 200, 400, 800, 1600, 3200, 6400):
         if n_direct >= min_direct_terms and \
-                _em_remainder_bound(s, n_direct, _EM_CORRECTIONS) <= target_error:
+                _em_remainder_bound(s, n_direct) <= target_error:
             break
     else:
         raise ValueError(f"cannot certify error {target_error} at {s}")

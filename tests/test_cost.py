@@ -214,6 +214,22 @@ def test_nu_additivity_recovers_uniform_cost():
         assert n * nu_exact(Rational(1, n)) == exact_cost_rational(n)
 
 
+def test_nu_exact_sums_the_period_in_closed_form(monkeypatch):
+    # only the pre-period (3 terms for den = 8 * 3**10) is summed term by
+    # term; the period of 2 mod 3**10 (2 * 3**9 digits) never is
+    calls = []
+    horner = cost_module._horner
+
+    def recording(r, mod, terms):
+        calls.append(terms)
+        return horner(r, mod, terms)
+    monkeypatch.setattr(cost_module, "_horner", recording)
+    nu_exact(Rational(1, 8 * 3 ** 10))
+    assert calls and max(calls) <= 3
+    n = 3 ** 12
+    assert nu_exact(Rational(1, n)) == cached_rational(n) / n
+
+
 def test_nu_ignores_common_factors():
     assert nu_exact(Rational(2, 6)) == nu_exact(Rational(1, 3))
 

@@ -7,15 +7,20 @@ consume: the library must return the same value, report the same
 ``bits_used`` and leave the source in the same state (bits consumed,
 words fetched, script cursor), draw after draw, and must raise
 ScriptExhausted on exactly the bit strings where the reference does.
+``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
+its whole period, as the library did before it shared the uniform cost's
+closed form; the two must give identical Fractions.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from fastdice import (BufferedWordSource, FdrOutcome, RandomBitSource,
                       Rational, ScriptExhausted, ScriptedBitSource,
-                      bernoulli_rational, fdr_uniform)
+                      bernoulli_rational, fdr_uniform, nu_exact)
 
 
 def reference_fdr_uniform(source, n):
@@ -176,3 +181,52 @@ def test_bernoulli_exhaustion_matches_reference(p):
         for bits in strings(length):
             assert (outcome(lambda s: bernoulli_rational(s, p), bits)
                     == outcome(lambda s: reference_bernoulli(s, p), bits))
+
+
+def reference_horner(r, mod, terms):
+    """sum of (r * 2**k mod mod) * 2**(terms-1-k) over k < terms."""
+    acc = 0
+    for _ in range(terms):
+        acc = (acc << 1) + r
+        r = (r << 1) % mod
+    return acc
+
+
+def reference_nu_exact(p):
+    """nu(p): a Horner pass over the pre-period, then one digit by digit
+    over the whole period of 2 mod the odd part of den."""
+    g = math.gcd(p.num, p.den)
+    num, den = p.num // g, p.den // g
+    if num == 0 or den == 1:
+        return Fraction(0)
+    a = (den & -den).bit_length() - 1
+    w = den >> a
+    total = Fraction(0)
+    if a > 0:
+        total += Fraction(reference_horner(num % den, den, a),
+                          den << (a - 1))
+    if w > 1:
+        d, x = 1, 2 % w
+        while x != 1:
+            x, d = (x << 1) % w, d + 1
+        total += Fraction(reference_horner(num % w, w, d) << 1,
+                          (w << a) * ((1 << d) - 1))
+    return total
+
+
+def nu_biases():
+    """Every num/den with den <= 128, then random den = 2**a * w."""
+    out = [Rational(num, den) for den in range(1, 129)
+           for num in range(den + 1)]
+    rng = random.Random(128)
+    for _ in range(200):
+        den = rng.randrange(1, 1 << 16, 2) << rng.randint(0, 12)
+        out.append(Rational(rng.randint(0, den), den))
+    return out
+
+
+def test_nu_exact_matches_reference():
+    for p in nu_biases():
+        got = nu_exact(p)
+        assert type(got) is Fraction
+        assert got == reference_nu_exact(p), (p.num, p.den)

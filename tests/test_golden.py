@@ -50,6 +50,8 @@ CASES = {
     "error_cost_n_min": (["cost", "--n-min", "1", "--n-max", "5"], 2),
     "error_cost_batch_overflow": (["cost", "--n-min", "2", "--n-max", "100",
                                    "--batch", "10"], 2),
+    "error_cost_asymptotic_uncertified": (
+        ["cost", "--n-min", "2", "--n-max", "3", "--asymptotic", "601"], 2),
 }
 
 
