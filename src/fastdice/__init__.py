@@ -8,7 +8,7 @@ their toll over the entropy floor, and the smooth zeta-based
 approximation.
 """
 
-from .batch import BatchPlan, MAX_BATCH_SIZE, auto_batch_size, batch_uniform, plan_batch
+from .batch import BatchPlan, auto_batch_size, batch_uniform, plan_batch
 from .bernoulli import MAX_DENOMINATOR, Rational, bernoulli_rational, binary_expansion
 from .bitsource import (BufferedWordSource, RandomBitSource, ScriptedBitSource,
                         ScriptedWords, SplitMix64Words, WordGenerator)
@@ -25,7 +25,7 @@ from .permutation import (LehmerCode, MAX_UNRANK_SIZE, Rank,
                           fisher_yates, inversion_count,
                           lehmer_to_permutation_fy,
                           lehmer_to_permutation_selection,
-                          random_permutation_unranked)
+                          random_lehmer_code, random_permutation_unranked)
 
 __version__ = "0.1.0"
 
@@ -33,16 +33,16 @@ __all__ = [
     "AsymptoticParams", "BatchPlan", "BufferedWordSource", "CostBreakdown",
     "DigitOutOfRange", "EULER_GAMMA", "EmptyRange", "FactorialOverflow",
     "FastdiceError", "FdrOutcome", "ImproperFraction", "LehmerCode",
-    "MAX_BATCH_SIZE", "MAX_DENOMINATOR", "MAX_UNIFORM_RANGE",
-    "MAX_UNRANK_SIZE", "Overflow", "PoleAtOne", "RandomBitSource",
-    "RangeTooLarge", "Rank", "RankOutOfRange", "Rational", "ScriptExhausted",
-    "ScriptedBitSource", "ScriptedWords", "SplitMix64Words", "WordGenerator",
+    "MAX_DENOMINATOR", "MAX_UNIFORM_RANGE", "MAX_UNRANK_SIZE", "Overflow",
+    "PoleAtOne", "RandomBitSource", "RangeTooLarge", "Rank", "RankOutOfRange",
+    "Rational", "ScriptExhausted", "ScriptedBitSource", "ScriptedWords",
+    "SplitMix64Words", "WordGenerator",
     "auto_batch_size", "asymptotic_cost", "batch_cost", "batch_uniform",
     "bernoulli_rational", "binary_expansion", "cost_breakdown",
     "cost_partial_sum", "exact_cost", "exact_cost_rational", "factorial_compose",
     "factorial_decompose", "fdr_uniform", "fdr_uniform_range", "fisher_yates",
     "inversion_count", "lehmer_to_permutation_fy",
     "lehmer_to_permutation_selection", "nu", "nu_exact",
-    "periodic_fluctuation", "plan_batch", "random_permutation_unranked",
-    "toll", "zeta_complex",
+    "periodic_fluctuation", "plan_batch", "random_lehmer_code",
+    "random_permutation_unranked", "toll", "zeta_complex",
 ]

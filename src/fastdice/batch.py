@@ -14,9 +14,6 @@ from .bitsource import RandomBitSource
 from .core import MAX_UNIFORM_RANGE, fdr_uniform
 from .errors import Overflow
 
-# Largest batch exponent ever planned, even when n**j would stay small.
-MAX_BATCH_SIZE = 64
-
 
 class BatchPlan(NamedTuple):
     """A validated (n, j) pair with the precomputed master range n**j."""
@@ -44,7 +41,7 @@ def plan_batch(n: int, j: int) -> BatchPlan:
 
 
 def auto_batch_size(n: int) -> int:
-    """Largest j with n**j <= 2**62, capped at 64.
+    """Largest j with n**j <= 2**62.
 
     n=2 gives 62, n=3 gives 39, n=2**31 gives 2.
     """
@@ -52,7 +49,7 @@ def auto_batch_size(n: int) -> int:
         raise ValueError(f"need n >= 2, got {n}")
     j = 1
     power = n
-    while power * n <= MAX_UNIFORM_RANGE and j < MAX_BATCH_SIZE:
+    while power * n <= MAX_UNIFORM_RANGE:
         power *= n
         j += 1
     return j

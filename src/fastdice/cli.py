@@ -9,21 +9,30 @@ errors exit with status 2.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from collections.abc import Iterator
 
 from .batch import auto_batch_size, batch_uniform, plan_batch
-from .bernoulli import Rational, bernoulli_rational
+from .bernoulli import MAX_DENOMINATOR, Rational, bernoulli_rational
 from .bitsource import BufferedWordSource
-from .core import fdr_uniform
+from .core import MAX_UNIFORM_RANGE, fdr_uniform
 from .cost import (AsymptoticParams, asymptotic_cost, batch_cost,
                    cost_breakdown, exact_cost)
-from .errors import FactorialOverflow, FastdiceError
-from .permutation import (MAX_UNRANK_SIZE, Rank, factorial_decompose,
-                          fisher_yates, lehmer_to_permutation_selection,
+from .errors import FactorialOverflow, FastdiceError, RangeTooLarge
+from .permutation import (MAX_UNRANK_SIZE, fisher_yates,
+                          lehmer_to_permutation_selection, random_lehmer_code,
                           random_permutation_unranked)
+
+# perm --method: fy draws the code digit by digit, unrank and lehmer draw
+# it as one rank below n!; fy and unrank map it by the Fisher-Yates swaps,
+# lehmer by the selection construction.
+_PERM_ROUTES = {
+    "fy": fisher_yates,
+    "unrank": random_permutation_unranked,
+    "lehmer": lambda source, n: lehmer_to_permutation_selection(
+        random_lehmer_code(source, n)),
+}
 
 
 def _real(x: float) -> str:
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="draw uniform random permutations of {1..n}")
     p.add_argument("--n", type=_nonnegative, required=True)
     p.add_argument("--count", type=_nonnegative, default=1)
-    p.add_argument("--method", choices=("fy", "unrank", "lehmer"),
+    p.add_argument("--method", choices=tuple(_PERM_ROUTES),
                    default="fy",
                    help="fy: randomized Fisher-Yates; unrank: one uniform "
                         "rank unranked through Fisher-Yates; lehmer: one "
@@ -142,6 +151,8 @@ def _uniform_draws(args: argparse.Namespace
     source = BufferedWordSource(args.seed)
     j = _resolve_batch(args.batch, args.n)
     if j is None:
+        if args.n > MAX_UNIFORM_RANGE:
+            raise RangeTooLarge(f"n={args.n} exceeds 2**62")
         return source, None, (
             fdr_uniform(source, args.n).value for _ in range(args.count))
     if args.count % j != 0:
@@ -152,16 +163,26 @@ def _uniform_draws(args: argparse.Namespace
                        for v in batch_uniform(source, plan))
 
 
-def cmd_uniform(args: argparse.Namespace) -> int:
-    source, j, draws = _uniform_draws(args)
-    values = list(draws)
-    calls = args.count // (j or 1)
-    if args.format == "csv":
-        print("value")
-    for v in values:
-        print(v)
+def _print_draws(args: argparse.Namespace, column: str | None,
+                 lines: Iterator[object], source: BufferedWordSource,
+                 calls: int) -> int:
+    """Print the CSV header (if there is a column name), one line per
+    draw, then the footer.
+
+    Callers validate every input before the first flip, so each draw is
+    printed as it is made and no error can cut the output short.
+    """
+    if column is not None and args.format == "csv":
+        print(column)
+    for line in lines:
+        print(line)
     print(f"# bits={source.bits_consumed()} calls={calls}")
     return 0
+
+
+def cmd_uniform(args: argparse.Namespace) -> int:
+    source, j, draws = _uniform_draws(args)
+    return _print_draws(args, "value", draws, source, args.count // (j or 1))
 
 
 def cmd_perm(args: argparse.Namespace) -> int:
@@ -169,30 +190,19 @@ def cmd_perm(args: argparse.Namespace) -> int:
         raise FactorialOverflow(
             f"{args.n}! exceeds the 64-bit working range (cap is n = 20)")
     source = BufferedWordSource(args.seed)
-    for _ in range(args.count):
-        if args.method == "fy":
-            perm = fisher_yates(source, args.n)
-        elif args.method == "unrank":
-            perm = random_permutation_unranked(source, args.n)
-        else:  # lehmer: same rank draw, selection bijection
-            u = fdr_uniform(source, math.factorial(args.n)).value
-            perm = lehmer_to_permutation_selection(
-                factorial_decompose(Rank(u, args.n)))
-        print(" ".join(str(v) for v in perm))
-    print(f"# bits={source.bits_consumed()} calls={args.count}")
-    return 0
+    route = _PERM_ROUTES[args.method]
+    perms = (" ".join(str(v) for v in route(source, args.n))
+             for _ in range(args.count))
+    return _print_draws(args, None, perms, source, args.count)
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
-    source = BufferedWordSource(args.seed)
     p = Rational(args.num, args.den)
-    bits = [bernoulli_rational(source, p) for _ in range(args.count)]
-    if args.format == "csv":
-        print("bit")
-    for b in bits:
-        print(b)
-    print(f"# bits={source.bits_consumed()} calls={args.count}")
-    return 0
+    if p.den > MAX_DENOMINATOR:
+        raise ValueError(f"denominator {p.den} exceeds 2**62")
+    source = BufferedWordSource(args.seed)
+    bits = (bernoulli_rational(source, p) for _ in range(args.count))
+    return _print_draws(args, "bit", bits, source, args.count)
 
 
 def cmd_cost(args: argparse.Namespace) -> int:

@@ -1,15 +1,23 @@
 """Uniform random permutations at optimal bit cost.
 
-Three routes to a uniform permutation of {1,...,n}:
+Every permutation of {1,...,n} here is a Lehmer code (factorial-base
+digits, the digit of positional size n - idx at index idx) sent through
+a fixed bijection.  Two ways to draw a code, times two bijections:
 
-* ``fisher_yates``: the classic shuffle, with every swap offset drawn by
-  the exact uniform sampler, so each of the n! outcomes is exactly
-  equally likely.
-* ``random_permutation_unranked``: one uniform rank below n! decomposed
-  into factorial-base digits (a Lehmer code), then mapped to a
-  permutation; spends u(n!) bits total, the optimum for the whole object.
-* ``lehmer_to_permutation_selection``: Laisant's correspondence, kept
-  because its inversion count equals the digit sum, a sharp test oracle.
+* Drawing the code: digit by digit, each uniform on its own size, which
+  spends u(n) + ... + u(2) flips (``fisher_yates``); or as one uniform
+  rank below n! split in factorial base, which spends u(n!) flips, the
+  optimum for the whole object (``random_lehmer_code``).
+* Mapping it: the Fisher-Yates swaps, where step i swaps position i
+  with i + digit i (``lehmer_to_permutation_fy``, linear time); or
+  Laisant's selection construction (``lehmer_to_permutation_selection``,
+  quadratic), kept because its inversion count equals the digit sum, a
+  sharp test oracle.
+
+``fisher_yates`` is the digit-by-digit draw through the swaps and
+``random_permutation_unranked`` is the rank draw through the swaps; the
+rank draw through the selection construction is the CLI's ``lehmer``
+method.
 
 Permutation values are one-indexed; ranks and code digits are zero-based.
 """
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
 from .core import fdr_uniform
@@ -69,23 +77,23 @@ class Rank:
 def factorial_decompose(rank: Rank) -> LehmerCode:
     """Write a rank in factorial base: U = X_n*(n-1)! + ... + X_1*0!.
 
-    Greedy division by falling factorials; the digit bounds make the
-    representation unique.
+    Repeated division by the mixed radix 1, 2, ..., n yields the digits
+    from the lowest position up; the digit bounds make the representation
+    unique.
     """
     u = rank.value
-    digits = []
-    for i in range(rank.n, 0, -1):
-        d, u = divmod(u, math.factorial(i - 1))
-        digits.append(d)
+    digits = [0] * rank.n
+    for size in range(1, rank.n + 1):
+        u, digits[-size] = divmod(u, size)  # index n - size has that size
     return LehmerCode(tuple(digits))
 
 
 def factorial_compose(code: LehmerCode) -> Rank:
-    """Inverse of factorial_decompose."""
+    """Inverse of factorial_decompose (Horner in the mixed radix)."""
     n = code.n
     value = 0
     for idx, d in enumerate(code.digits):
-        value += d * math.factorial(n - idx - 1)
+        value = value * (n - idx) + d
     return Rank(value, n)
 
 
@@ -99,6 +107,15 @@ def lehmer_to_permutation_selection(code: LehmerCode) -> list[int]:
     return [items.pop(d) for d in code.digits]
 
 
+def _swaps(n: int, offsets: Iterable[int]) -> list[int]:
+    """Step i (0-based) swaps position i with position i + offsets[i]."""
+    t = list(range(1, n + 1))
+    for i, d in enumerate(offsets):
+        k = i + d
+        t[i], t[k] = t[k], t[i]
+    return t
+
+
 def lehmer_to_permutation_fy(code: LehmerCode) -> list[int]:
     """Map a code to a permutation by a deterministic Fisher-Yates pass.
 
@@ -106,35 +123,27 @@ def lehmer_to_permutation_fy(code: LehmerCode) -> list[int]:
     i.e. digits drive the shuffle in the order they were decomposed.
     Linear time; a different bijection than the selection construction.
     """
-    n = code.n
-    t = list(range(1, n + 1))
-    for i in range(1, n + 1):
-        k = i + code.digits[i - 1]
-        t[i - 1], t[k - 1] = t[k - 1], t[i - 1]
-    return t
+    return _swaps(code.n, code.digits)
 
 
 def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     """Uniform random permutation of {1,...,n} by exact-uniform swaps.
 
-    Step i draws an offset uniform on n-i+1 values; the final step draws
-    from a single value and costs zero bits.
+    The code's digits are drawn lazily, one per swap: step i (0-based)
+    draws an offset uniform on n - i values; the final step draws from a
+    single value and costs zero bits.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    t = list(range(1, n + 1))
-    for i in range(1, n + 1):
-        k = i + fdr_uniform(source, n - i + 1).value
-        t[i - 1], t[k - 1] = t[k - 1], t[i - 1]
-    return t
+    return _swaps(n, (fdr_uniform(source, n - i).value for i in range(n)))
 
 
-def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
-    """Uniform permutation from a single uniform rank below n!.
+def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
+    """Uniform Lehmer code of size n from a single uniform rank below n!.
 
-    Draws U uniform on [0, n!), decomposes it in factorial base, and maps
-    the digits through the Fisher-Yates bijection.  Total expected bits
-    are u(n!), optimal for generating the permutation as one object.
+    Draws U uniform on [0, n!) and decomposes it in factorial base.
+    Total expected bits are u(n!), optimal for generating the code (and
+    so any permutation it maps to) as one object.
 
     Raises:
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
@@ -145,7 +154,20 @@ def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
         raise FactorialOverflow(
             f"{n}! exceeds the 64-bit working range (cap is n = 20)")
     u = fdr_uniform(source, math.factorial(n)).value
-    return lehmer_to_permutation_fy(factorial_decompose(Rank(u, n)))
+    return factorial_decompose(Rank(u, n))
+
+
+def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
+    """Uniform permutation from a single uniform rank below n!.
+
+    The code from ``random_lehmer_code`` mapped through the Fisher-Yates
+    bijection.  Total expected bits are u(n!), optimal for generating the
+    permutation as one object.
+
+    Raises:
+        FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
+    """
+    return lehmer_to_permutation_fy(random_lehmer_code(source, n))
 
 
 def inversion_count(perm: Sequence[int]) -> int:

@@ -28,6 +28,18 @@ def test_auto_batch_size():
         auto_batch_size(1)
 
 
+def test_auto_batch_size_is_the_largest_exponent():
+    # n**63 > 2**62 for every n >= 2, so no separate cap on j can bind.
+    def largest(n):
+        j = 0
+        while n ** (j + 1) <= 1 << 62:
+            j += 1
+        return j
+
+    for n in [*range(2, 5001), *(1 << k for k in range(1, 63))]:
+        assert auto_batch_size(n) == largest(n), n
+
+
 def test_digits_most_significant_first():
     # master draw Y = 5 under plan(3,2) must split as [1, 2]: 5 = 1*3 + 2
     plan = plan_batch(3, 2)

@@ -10,6 +10,13 @@ ScriptExhausted on exactly the bit strings where the reference does.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
+
+The ``reference_*`` permutation routes are the library's permutation code
+from before every route shared one swap loop and one code draw: the
+shuffle with its own swap loop, factorial-base digits by division by
+falling factorials, and the CLI's own rank draw for ``perm --method
+lehmer``.  The library must return the same permutations, codes and
+ranks and leave the source in the same state.
 """
 
 import math
@@ -18,9 +25,13 @@ from fractions import Fraction
 
 import pytest
 
-from fastdice import (BufferedWordSource, FdrOutcome, RandomBitSource,
-                      Rational, ScriptExhausted, ScriptedBitSource,
-                      bernoulli_rational, fdr_uniform, nu_exact)
+from fastdice import (BufferedWordSource, FactorialOverflow, FdrOutcome,
+                      LehmerCode, RandomBitSource, Rank, Rational,
+                      ScriptExhausted, ScriptedBitSource, bernoulli_rational,
+                      factorial_compose, factorial_decompose, fdr_uniform,
+                      fisher_yates, nu_exact, random_lehmer_code,
+                      random_permutation_unranked)
+from fastdice.cli import _PERM_ROUTES
 
 
 def reference_fdr_uniform(source, n):
@@ -230,3 +241,126 @@ def test_nu_exact_matches_reference():
         got = nu_exact(p)
         assert type(got) is Fraction
         assert got == reference_nu_exact(p), (p.num, p.den)
+
+
+def reference_factorial_decompose(rank):
+    """Greedy division by falling factorials, highest digit first."""
+    u = rank.value
+    digits = []
+    for i in range(rank.n, 0, -1):
+        d, u = divmod(u, math.factorial(i - 1))
+        digits.append(d)
+    return LehmerCode(tuple(digits))
+
+
+def reference_factorial_compose(code):
+    n = code.n
+    value = 0
+    for idx, d in enumerate(code.digits):
+        value += d * math.factorial(n - idx - 1)
+    return Rank(value, n)
+
+
+def reference_lehmer_to_permutation_fy(code):
+    n = code.n
+    t = list(range(1, n + 1))
+    for i in range(1, n + 1):
+        k = i + code.digits[i - 1]
+        t[i - 1], t[k - 1] = t[k - 1], t[i - 1]
+    return t
+
+
+def reference_fisher_yates(source, n):
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    t = list(range(1, n + 1))
+    for i in range(1, n + 1):
+        k = i + fdr_uniform(source, n - i + 1).value
+        t[i - 1], t[k - 1] = t[k - 1], t[i - 1]
+    return t
+
+
+def reference_random_permutation_unranked(source, n):
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if n > 20:
+        raise FactorialOverflow(
+            f"{n}! exceeds the 64-bit working range (cap is n = 20)")
+    u = fdr_uniform(source, math.factorial(n)).value
+    return reference_lehmer_to_permutation_fy(
+        reference_factorial_decompose(Rank(u, n)))
+
+
+def reference_cli_lehmer(source, n):
+    """The CLI's lehmer method: its own rank draw, selection bijection."""
+    u = fdr_uniform(source, math.factorial(n)).value
+    items = list(range(1, n + 1))
+    return [items.pop(d)
+            for d in reference_factorial_decompose(Rank(u, n)).digits]
+
+
+def reference_lehmer_code(source, n):
+    u = fdr_uniform(source, math.factorial(n)).value
+    return reference_factorial_decompose(Rank(u, n))
+
+
+ROUTES = {
+    "fisher_yates": (fisher_yates, reference_fisher_yates, 60),
+    "unranked": (random_permutation_unranked,
+                 reference_random_permutation_unranked, 20),
+    "cli_lehmer": (_PERM_ROUTES["lehmer"], reference_cli_lehmer, 20),
+    "code": (random_lehmer_code, reference_lehmer_code, 20),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_permutation_routes_match_reference(route):
+    draw, reference, n_max = ROUTES[route]
+    for seed in range(50):
+        new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        for n in range(n_max + 1):
+            assert draw(new, n) == reference(ref, n)
+            assert state(new) == state(ref)
+
+
+def test_rank_routes_keep_their_guards():
+    for bad, error in ((21, FactorialOverflow), (-1, ValueError)):
+        with pytest.raises(error) as want:
+            reference_random_permutation_unranked(ScriptedBitSource([]), bad)
+        for draw in (random_permutation_unranked, random_lehmer_code):
+            with pytest.raises(error) as got:
+                draw(ScriptedBitSource([]), bad)
+            assert str(got.value) == str(want.value)
+
+
+def ranks():
+    """Every rank for n <= 8, then 2000 seeded ranks for each n <= 20."""
+    for n in range(9):
+        for u in range(math.factorial(n)):
+            yield Rank(u, n)
+    rng = random.Random(20)
+    for n in range(9, 21):
+        for _ in range(2000):
+            yield Rank(rng.randrange(math.factorial(n)), n)
+
+
+def test_factorial_base_matches_reference():
+    for rank in ranks():
+        code = factorial_decompose(rank)
+        assert code == reference_factorial_decompose(rank)
+        assert factorial_compose(code) == reference_factorial_compose(code)
+        assert factorial_compose(code) == rank
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_permutation_exhaustion_matches_reference(route):
+    # Scripts that run out inside a draw, at every length up to 40 bits
+    # and n up to 12: the same permutations, then the same exhaustion.
+    draw, reference, _ = ROUTES[route]
+    rng = random.Random(12)
+    for n in range(13):
+        for length in range(41):
+            bits = [rng.getrandbits(1) for _ in range(length)]
+            assert (outcome(lambda s: [draw(s, n) for _ in range(3)], bits)
+                    == outcome(lambda s: [reference(s, n) for _ in range(3)],
+                               bits))

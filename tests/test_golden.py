@@ -52,6 +52,11 @@ CASES = {
                                    "--batch", "10"], 2),
     "error_cost_asymptotic_uncertified": (
         ["cost", "--n-min", "2", "--n-max", "3", "--asymptotic", "601"], 2),
+    "error_uniform_range_count0": (["uniform", "--n", str(2 ** 62 + 1),
+                                    "--count", "0"], 2),
+    "error_bernoulli_den_count0": (["bernoulli", "--num", "1",
+                                    "--den", str(2 ** 62 + 1),
+                                    "--count", "0"], 2),
 }
 
 
