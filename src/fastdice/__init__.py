@@ -9,10 +9,12 @@ approximation.
 """
 
 from .batch import BatchPlan, auto_batch_size, batch_uniform, plan_batch
-from .bernoulli import MAX_DENOMINATOR, Rational, bernoulli_rational, binary_expansion
+from .bernoulli import (MAX_DENOMINATOR, Rational, bernoulli_rational,
+                        binary_expansion, check_denominator)
 from .bitsource import (BufferedWordSource, RandomBitSource, ScriptedBitSource,
                         ScriptedWords, SplitMix64Words, WordGenerator)
-from .core import MAX_UNIFORM_RANGE, FdrOutcome, fdr_uniform, fdr_uniform_range
+from .core import (MAX_UNIFORM_RANGE, FdrOutcome, check_range, fdr_uniform,
+                   fdr_uniform_range)
 from .cost import (AsymptoticParams, CostBreakdown, EULER_GAMMA, asymptotic_cost,
                    batch_cost, cost_breakdown, cost_partial_sum, exact_cost,
                    exact_cost_rational, nu, nu_exact, periodic_fluctuation,
@@ -21,8 +23,8 @@ from .errors import (DigitOutOfRange, EmptyRange, FactorialOverflow,
                      FastdiceError, ImproperFraction, Overflow, PoleAtOne,
                      RangeTooLarge, RankOutOfRange, ScriptExhausted)
 from .permutation import (LehmerCode, MAX_UNRANK_SIZE, Rank,
-                          factorial_compose, factorial_decompose,
-                          fisher_yates, inversion_count,
+                          check_unrank_size, factorial_compose,
+                          factorial_decompose, fisher_yates, inversion_count,
                           lehmer_to_permutation_fy,
                           lehmer_to_permutation_selection,
                           random_lehmer_code, random_permutation_unranked)
@@ -38,7 +40,8 @@ __all__ = [
     "Rational", "ScriptExhausted", "ScriptedBitSource", "ScriptedWords",
     "SplitMix64Words", "WordGenerator",
     "auto_batch_size", "asymptotic_cost", "batch_cost", "batch_uniform",
-    "bernoulli_rational", "binary_expansion", "cost_breakdown",
+    "bernoulli_rational", "binary_expansion", "check_denominator",
+    "check_range", "check_unrank_size", "cost_breakdown",
     "cost_partial_sum", "exact_cost", "exact_cost_rational", "factorial_compose",
     "factorial_decompose", "fdr_uniform", "fdr_uniform_range", "fisher_yates",
     "inversion_count", "lehmer_to_permutation_fy",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bitsource import RandomBitSource
-from .core import MAX_UNIFORM_RANGE, fdr_uniform
+from .core import MAX_UNIFORM_RANGE, check_range, fdr_uniform
 from .errors import Overflow
 
 
@@ -26,14 +26,21 @@ class BatchPlan(NamedTuple):
 def plan_batch(n: int, j: int) -> BatchPlan:
     """Validate a batch request and precompute n**j.
 
+    Reads no flip, and bounds j before taking the power, so a huge j
+    fails at once instead of building an enormous integer.
+
     Raises:
         ValueError: n < 2 or j < 1.
+        RangeTooLarge: n > 2**62 (from ``check_range``).
         Overflow: n**j > 2**62.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if j < 1:
         raise ValueError(f"need j >= 1, got {j}")
+    check_range(n)
+    if j > 62:  # n >= 2, so n**j >= 2**j > 2**62
+        raise Overflow(f"{n}**{j} exceeds 2**62")
     power = n ** j
     if power > MAX_UNIFORM_RANGE:
         raise Overflow(f"{n}**{j} = {power} exceeds 2**62")
@@ -44,11 +51,14 @@ def auto_batch_size(n: int) -> int:
     """Largest j with n**j <= 2**62.
 
     n=2 gives 62, n=3 gives 39, n=2**31 gives 2.
+
+    Raises:
+        ValueError: n < 2.
+        RangeTooLarge: n > 2**62.
+        Both come from ``plan_batch(n, 1)``.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     j = 1
-    power = n
+    power = plan_batch(n, 1).n_pow_j
     while power * n <= MAX_UNIFORM_RANGE:
         power *= n
         j += 1

@@ -20,6 +20,18 @@ from .errors import ImproperFraction
 MAX_DENOMINATOR = 1 << 62
 
 
+def check_denominator(den: int) -> None:
+    """Raise unless den is within the 2**62 doubling guard.
+
+    Reads no flip, so a caller can validate a draw before making it.
+
+    Raises:
+        ValueError: den > 2**62.
+    """
+    if den > MAX_DENOMINATOR:
+        raise ValueError(f"denominator {den} exceeds 2**62")
+
+
 @dataclass(frozen=True)
 class Rational:
     """A fraction num/den with 0 <= num <= den.  Never auto-reduced:
@@ -49,8 +61,7 @@ def binary_expansion(p: Rational, count: int) -> list[int]:
     """
     if p.num >= p.den:
         raise ImproperFraction(f"{p.num}/{p.den} is not in [0, 1)")
-    if p.den > MAX_DENOMINATOR:
-        raise ValueError(f"denominator {p.den} exceeds 2**62")
+    check_denominator(p.den)
     if count < 0:
         raise ValueError("count must be >= 0")
     v = p.num
@@ -74,14 +85,12 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     Degenerate biases 0 and 1 return immediately with zero flips.
 
     Raises:
-        ValueError: den beyond the 2**62 doubling guard.
+        ValueError: den beyond the 2**62 doubling guard (from
+            ``check_denominator``).
     """
-    if p.den > MAX_DENOMINATOR:
-        raise ValueError(f"denominator {p.den} exceeds 2**62")
-    if p.num == 0:
-        return 0
-    if p.num == p.den:
-        return 1
+    if not 0 < p.num < p.den <= MAX_DENOMINATOR:  # one comparison per draw
+        check_denominator(p.den)
+        return int(p.num == p.den)  # bias 0 or 1
     v = p.num
     den = p.den
     next_bit = source.next_bit

@@ -14,13 +14,13 @@ import sys
 from collections.abc import Iterator
 
 from .batch import auto_batch_size, batch_uniform, plan_batch
-from .bernoulli import MAX_DENOMINATOR, Rational, bernoulli_rational
+from .bernoulli import Rational, bernoulli_rational, check_denominator
 from .bitsource import BufferedWordSource
-from .core import MAX_UNIFORM_RANGE, fdr_uniform
+from .core import check_range, fdr_uniform
 from .cost import (AsymptoticParams, asymptotic_cost, batch_cost,
                    cost_breakdown, exact_cost)
-from .errors import FactorialOverflow, FastdiceError, RangeTooLarge
-from .permutation import (MAX_UNRANK_SIZE, fisher_yates,
+from .errors import FastdiceError
+from .permutation import (check_unrank_size, fisher_yates,
                           lehmer_to_permutation_selection, random_lehmer_code,
                           random_permutation_unranked)
 
@@ -67,6 +67,10 @@ def _positive(text: str) -> int:
     return value
 
 
+def _batch_size(text: str) -> int | str:
+    return text if text == "auto" else _positive(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fastdice",
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="draw uniform integers on [0, n)")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--count", type=_nonnegative, default=1)
-    p.add_argument("--batch", default=None, metavar="J|auto",
+    p.add_argument("--batch", type=_batch_size, default=None, metavar="J|auto",
                    help="draw J values per master draw (count must divide)")
     p.set_defaults(func=cmd_uniform)
 
@@ -120,24 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measure bits per variate against theory")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--count", type=_positive, required=True)
-    p.add_argument("--batch", default=None, metavar="J|auto",
+    p.add_argument("--batch", type=_batch_size, default=None, metavar="J|auto",
                    help="draw J values per master draw (count must divide)")
     p.set_defaults(func=cmd_bench)
     return parser
-
-
-def _resolve_batch(flag: str | None, n: int) -> int | None:
-    if flag is None:
-        return None
-    if flag == "auto":
-        return auto_batch_size(n)
-    try:
-        j = int(flag)
-    except ValueError:
-        raise FastdiceError(f"--batch must be an integer or 'auto': {flag!r}")
-    if j < 1:
-        raise FastdiceError("--batch must be >= 1")
-    return j
 
 
 def _uniform_draws(args: argparse.Namespace
@@ -149,12 +139,11 @@ def _uniform_draws(args: argparse.Namespace
     only tallies them holds none in memory.
     """
     source = BufferedWordSource(args.seed)
-    j = _resolve_batch(args.batch, args.n)
-    if j is None:
-        if args.n > MAX_UNIFORM_RANGE:
-            raise RangeTooLarge(f"n={args.n} exceeds 2**62")
+    if args.batch is None:
+        check_range(args.n)
         return source, None, (
             fdr_uniform(source, args.n).value for _ in range(args.count))
+    j = auto_batch_size(args.n) if args.batch == "auto" else args.batch
     if args.count % j != 0:
         raise FastdiceError(
             f"--count {args.count} is not a multiple of batch size {j}")
@@ -186,9 +175,10 @@ def cmd_uniform(args: argparse.Namespace) -> int:
 
 
 def cmd_perm(args: argparse.Namespace) -> int:
-    if args.method != "fy" and args.n > MAX_UNRANK_SIZE:
-        raise FactorialOverflow(
-            f"{args.n}! exceeds the 64-bit working range (cap is n = 20)")
+    # fy draws its first digit on n values, unrank and lehmer one rank
+    # below n!; n = 0, the empty permutation, is valid on every route.
+    check = check_range if args.method == "fy" else check_unrank_size
+    check(args.n or 1)
     source = BufferedWordSource(args.seed)
     route = _PERM_ROUTES[args.method]
     perms = (" ".join(str(v) for v in route(source, args.n))
@@ -198,8 +188,7 @@ def cmd_perm(args: argparse.Namespace) -> int:
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
     p = Rational(args.num, args.den)
-    if p.den > MAX_DENOMINATOR:
-        raise ValueError(f"denominator {p.den} exceeds 2**62")
+    check_denominator(p.den)
     source = BufferedWordSource(args.seed)
     bits = (bernoulli_rational(source, p) for _ in range(args.count))
     return _print_draws(args, "bit", bits, source, args.count)

@@ -30,6 +30,21 @@ from .errors import EmptyRange, RangeTooLarge
 MAX_UNIFORM_RANGE = 1 << 62
 
 
+def check_range(n: int) -> None:
+    """Raise unless 1 <= n <= 2**62, the ranges ``fdr_uniform`` draws from.
+
+    Reads no flip, so a caller can validate a draw before making it.
+
+    Raises:
+        ValueError: n < 1.
+        RangeTooLarge: n > 2**62.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_UNIFORM_RANGE:
+        raise RangeTooLarge(f"n={n} exceeds 2**62")
+
+
 class FdrOutcome(NamedTuple):
     """A drawn value together with the number of bits it consumed."""
 
@@ -52,12 +67,10 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
     Raises:
         ValueError: n < 1.
         RangeTooLarge: n > 2**62.
+        Both come from ``check_range`` before any flip is read.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if n > MAX_UNIFORM_RANGE:
-        raise RangeTooLarge(f"n={n} exceeds 2**62")
-    if n == 1:
+    if not 1 < n <= MAX_UNIFORM_RANGE:  # one comparison on the hot path
+        check_range(n)
         return FdrOutcome(0, 0)
 
     next_bits = source.next_bits

@@ -29,12 +29,28 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
-from .core import fdr_uniform
+from .core import check_range, fdr_uniform
 from .errors import DigitOutOfRange, FactorialOverflow, RankOutOfRange
 
 # 20! = 2432902008176640000 < 2**62 < 21!; larger sizes would push the
 # rank draw past the uniform sampler's doubling guard.
 MAX_UNRANK_SIZE = 20
+
+
+def check_unrank_size(n: int) -> None:
+    """Raise unless 0 <= n <= 20, the sizes whose rank below n! can be drawn.
+
+    Reads no flip, so a caller can validate a draw before making it.
+
+    Raises:
+        ValueError: n < 0.
+        FactorialOverflow: n > 20.
+    """
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    if n > MAX_UNRANK_SIZE:
+        raise FactorialOverflow(
+            f"{n}! exceeds the 64-bit working range (cap is n = 20)")
 
 
 @dataclass(frozen=True)
@@ -132,9 +148,15 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     The code's digits are drawn lazily, one per swap: step i (0-based)
     draws an offset uniform on n - i values; the final step draws from a
     single value and costs zero bits.
+
+    Raises:
+        ValueError: n < 0.
+        RangeTooLarge: n > 2**62 (from ``check_range``), before the
+            list of n values is built.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
+    check_range(n or 1)  # n = 0 is the empty permutation
     return _swaps(n, (fdr_uniform(source, n - i).value for i in range(n)))
 
 
@@ -146,13 +168,11 @@ def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
     so any permutation it maps to) as one object.
 
     Raises:
+        ValueError: n < 0.
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
+        Both come from ``check_unrank_size``.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n > MAX_UNRANK_SIZE:
-        raise FactorialOverflow(
-            f"{n}! exceeds the 64-bit working range (cap is n = 20)")
+    check_unrank_size(n)
     u = fdr_uniform(source, math.factorial(n)).value
     return factorial_decompose(Rank(u, n))
 

@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
-from fastdice import (BufferedWordSource, Overflow, ScriptedBitSource,
-                      ScriptExhausted, auto_batch_size, batch_cost,
-                      batch_uniform, fdr_uniform, plan_batch)
+from fastdice import (BufferedWordSource, Overflow, RangeTooLarge,
+                      ScriptedBitSource, ScriptExhausted, auto_batch_size,
+                      batch_cost, batch_uniform, check_range, fdr_uniform,
+                      plan_batch)
 
 
 def test_plan_examples():
@@ -12,11 +15,27 @@ def test_plan_examples():
         plan_batch(10, 19)  # 10**19 > 2**62
 
 
+def test_plan_bounds_j_before_taking_the_power():
+    # n >= 2 gives n**j >= 2**j, so j >= 63 is refused without building
+    # n**j, which for these j takes seconds or more memory than there is.
+    start = time.perf_counter()
+    with pytest.raises(Overflow):
+        plan_batch(2, 63)
+    with pytest.raises(Overflow):
+        plan_batch(3, 10 ** 7)
+    with pytest.raises(Overflow):
+        batch_cost(3, 2 ** 62)
+    assert time.perf_counter() - start < 1.0
+    assert plan_batch(2, 62).n_pow_j == 1 << 62
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         plan_batch(1, 3)
     with pytest.raises(ValueError):
         plan_batch(3, 0)
+    with pytest.raises(RangeTooLarge, match=r"^n=4611686018427387905 exceeds"):
+        plan_batch(2 ** 62 + 1, 1)  # the range guard, not an n**1 overflow
 
 
 def test_auto_batch_size():
@@ -26,6 +45,12 @@ def test_auto_batch_size():
     assert auto_batch_size(10) == 18
     with pytest.raises(ValueError):
         auto_batch_size(1)
+    for n in (2 ** 62 + 1, 10 ** 23):
+        with pytest.raises(RangeTooLarge) as got:
+            auto_batch_size(n)
+        with pytest.raises(RangeTooLarge) as want:
+            check_range(n)
+        assert str(got.value) == str(want.value)
 
 
 def test_auto_batch_size_is_the_largest_exponent():

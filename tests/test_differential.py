@@ -25,9 +25,10 @@ from fractions import Fraction
 
 import pytest
 
-from fastdice import (BufferedWordSource, FactorialOverflow, FdrOutcome,
-                      LehmerCode, RandomBitSource, Rank, Rational,
+from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
+                      FdrOutcome, LehmerCode, RandomBitSource, Rank, Rational,
                       ScriptExhausted, ScriptedBitSource, bernoulli_rational,
+                      check_denominator, check_range, check_unrank_size,
                       factorial_compose, factorial_decompose, fdr_uniform,
                       fisher_yates, nu_exact, random_lehmer_code,
                       random_permutation_unranked)
@@ -324,13 +325,31 @@ def test_permutation_routes_match_reference(route):
 
 
 def test_rank_routes_keep_their_guards():
-    for bad, error in ((21, FactorialOverflow), (-1, ValueError)):
-        with pytest.raises(error) as want:
-            reference_random_permutation_unranked(ScriptedBitSource([]), bad)
-        for draw in (random_permutation_unranked, random_lehmer_code):
-            with pytest.raises(error) as got:
-                draw(ScriptedBitSource([]), bad)
-            assert str(got.value) == str(want.value)
+    # Each check raises what the draws it guards raise, with the same
+    # message, before a single flip: fisher_yates before it builds its
+    # list, the rank routes like the reference unranking.
+    def bernoulli(source, den):
+        return bernoulli_rational(source, Rational(1, den))
+
+    guards = [
+        (check_unrank_size, (21, -1), (reference_random_permutation_unranked,
+                                       random_permutation_unranked,
+                                       random_lehmer_code)),
+        (check_range, (0, -1, 2 ** 62 + 1, 10 ** 23), (fdr_uniform,)),
+        (check_range, (2 ** 62 + 1, 2 ** 64), (fisher_yates,)),
+        (check_denominator, (2 ** 62 + 1, 10 ** 23), (bernoulli,)),
+    ]
+    for check, bads, draws in guards:
+        for bad in bads:
+            with pytest.raises((FastdiceError, ValueError)) as want:
+                check(bad)
+            for draw in draws:
+                source = ScriptedBitSource([])
+                with pytest.raises(type(want.value)) as got:
+                    draw(source, bad)
+                assert type(got.value) is type(want.value)
+                assert str(got.value) == str(want.value)
+                assert source.bits_consumed() == 0
 
 
 def ranks():

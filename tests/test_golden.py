@@ -57,6 +57,13 @@ CASES = {
     "error_bernoulli_den_count0": (["bernoulli", "--num", "1",
                                     "--den", str(2 ** 62 + 1),
                                     "--count", "0"], 2),
+    "error_perm_range_count0": (["perm", "--n", str(2 ** 62 + 1),
+                                 "--count", "0"], 2),
+    "error_perm_range_huge": (["perm", "--n", str(10 ** 23)], 2),
+    "error_uniform_batch_auto_range": (["uniform", "--n", str(2 ** 62 + 1),
+                                        "--batch", "auto", "--count", "0"], 2),
+    "error_uniform_batch_huge": (["uniform", "--n", "7", "--count", "0",
+                                  "--batch", "100000000"], 2),
 }
 
 
