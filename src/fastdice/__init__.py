@@ -3,9 +3,10 @@
 Exact uniform integers, batched uniforms, Bernoulli draws with rational
 bias, and uniform random permutations, all fed from a pluggable bit
 source and all meeting the Knuth-Yao expected-bit optimum.
-The cost side computes the expected bit counts exactly (as rationals),
-their toll over the entropy floor, and the smooth zeta-based
-approximation.
+The cost side, ``fastdice.cost``, computes the expected bit counts
+exactly (as rationals), their toll over the entropy floor, and the
+smooth zeta-based approximation.  It is imported on first use of one of
+its names, so a program that only samples never loads it.
 """
 
 from .batch import BatchPlan, auto_batch_size, batch_uniform, plan_batch
@@ -15,10 +16,6 @@ from .bitsource import (BufferedWordSource, RandomBitSource, ScriptedBitSource,
                         ScriptedWords, SplitMix64Words, WordGenerator)
 from .core import (MAX_UNIFORM_RANGE, FdrOutcome, check_range, fdr_uniform,
                    fdr_uniform_range)
-from .cost import (AsymptoticParams, CostBreakdown, EULER_GAMMA, asymptotic_cost,
-                   batch_cost, cost_breakdown, cost_partial_sum, exact_cost,
-                   exact_cost_rational, nu, nu_exact, periodic_fluctuation,
-                   toll, zeta_complex)
 from .errors import (DigitOutOfRange, EmptyRange, FactorialOverflow,
                      FastdiceError, ImproperFraction, Overflow, PoleAtOne,
                      RangeTooLarge, RankOutOfRange, ScriptExhausted)
@@ -49,3 +46,17 @@ __all__ = [
     "periodic_fluctuation", "plan_batch", "random_lehmer_code",
     "random_permutation_unranked", "toll", "zeta_complex",
 ]
+
+
+def __getattr__(name: str):
+    """Bind a name of ``__all__`` that no eager import bound: those are
+    the cost side's, so import ``fastdice.cost`` on first use (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cost
+    value = globals()[name] = getattr(cost, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -17,8 +17,6 @@ from .batch import auto_batch_size, batch_uniform, plan_batch
 from .bernoulli import Rational, bernoulli_rational, check_denominator
 from .bitsource import BufferedWordSource
 from .core import check_range, fdr_uniform
-from .cost import (AsymptoticParams, asymptotic_cost, batch_cost,
-                   cost_breakdown, exact_cost)
 from .errors import FastdiceError
 from .permutation import (check_unrank_size, fisher_yates,
                           lehmer_to_permutation_selection, random_lehmer_code,
@@ -53,15 +51,24 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    """int(text), failing with a message of its own: on a plain
+    ValueError argparse would print the type function's name."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
@@ -195,6 +202,8 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
+    from .cost import (AsymptoticParams, asymptotic_cost, batch_cost,
+                       cost_breakdown)
     if args.n_min < 2:
         raise FastdiceError("--n-min must be >= 2")
     if args.n_min > args.n_max:
@@ -218,6 +227,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .cost import batch_cost, exact_cost
     source, j, draws = _uniform_draws(args)
     counts: dict[int, int] = {}
     for v in draws:
@@ -256,8 +266,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (FastdiceError, ValueError) as exc:
-        print(f"fastdice: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:  # e.g. fy's list of n values for a huge n
+        message = "out of memory"
+    print(f"fastdice: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

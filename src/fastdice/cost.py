@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .batch import plan_batch
 from .bernoulli import Rational
@@ -313,8 +313,7 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
     return total
 
 
-@dataclass(frozen=True)
-class AsymptoticParams:
+class AsymptoticParams(NamedTuple):
     """Parameters of the smooth approximation to u(n)."""
 
     k_terms: int = 12
@@ -329,12 +328,17 @@ class AsymptoticParams:
 @lru_cache(maxsize=None)
 def _fourier_coefficients(k_terms: int) -> tuple[complex, ...]:
     """zeta(1 + i*tau_k) / (1 + i*tau_k) for k = 1..k_terms,
-    tau_k = 2*pi*k / ln2."""
+    tau_k = 2*pi*k / ln2.
+
+    Evaluated from k = k_terms down: the remainder bound grows with
+    tau_k, so a k_terms that cannot be certified fails on the first
+    zeta evaluation instead of after k_terms - 1 good ones.
+    """
     out = []
-    for k in range(1, k_terms + 1):
+    for k in range(k_terms, 0, -1):
         s = complex(1.0, 2.0 * math.pi * k / LN2)
         out.append(zeta_complex(s, 1e-13) / s)
-    return tuple(out)
+    return tuple(reversed(out))
 
 
 def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
@@ -368,8 +372,7 @@ def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
     return log2n + params.constant + periodic_fluctuation(log2n, params.k_terms)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(NamedTuple):
     """One row of the cost table: u(n) split into floor, toll, and the
     smooth approximation when requested."""
 

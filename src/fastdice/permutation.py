@@ -25,7 +25,7 @@ Permutation values are one-indexed; ranks and code digits are zero-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
@@ -53,41 +53,47 @@ def check_unrank_size(n: int) -> None:
             f"{n}! exceeds the 64-bit working range (cap is n = 20)")
 
 
-@dataclass(frozen=True)
-class LehmerCode:
+class LehmerCode(namedtuple("LehmerCode", "digits")):
     """Factorial-base digits (X_n, ..., X_1), highest position first.
 
     digits[idx] is the digit of positional size n - idx, so it must lie
     in [0, n - idx).  The last digit is forced to 0.
     """
 
-    digits: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.digits)
-        for idx, d in enumerate(self.digits):
+    def __new__(cls, digits: tuple[int, ...]):
+        n = len(digits)
+        for idx, d in enumerate(digits):
             if not 0 <= d < n - idx:
                 raise DigitOutOfRange(
                     f"digit {d} at position size {n - idx} (index {idx})")
+        return tuple.__new__(cls, (digits,))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
         return len(self.digits)
 
 
-@dataclass(frozen=True)
-class Rank:
+class Rank(namedtuple("Rank", "value n")):
     """A permutation rank: an integer in [0, n!)."""
 
-    value: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"need n >= 0, got {self.n}")
-        if not 0 <= self.value < math.factorial(self.n):
-            raise RankOutOfRange(
-                f"rank {self.value} outside [0, {self.n}!)")
+    def __new__(cls, value: int, n: int):
+        if n < 0:
+            raise ValueError(f"need n >= 0, got {n}")
+        if not 0 <= value < math.factorial(n):
+            raise RankOutOfRange(f"rank {value} outside [0, {n}!)")
+        return tuple.__new__(cls, (value, n))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
 def factorial_decompose(rank: Rank) -> LehmerCode:

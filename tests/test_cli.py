@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from fastdice import (BufferedWordSource, auto_batch_size, batch_cost,
-                      fdr_uniform)
+                      cli, fdr_uniform)
 from fastdice.cli import main
 
 FOOTER = re.compile(r"^# bits=(\d+) calls=(\d+)$")
@@ -95,6 +95,15 @@ def test_uniform_usage_error():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [["uniform", "--n", "abc"],
+                                  ["uniform", "--n", "6", "--batch", "abc"]])
+def test_non_integer_names_no_private_function(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stderr.endswith(": not an integer: 'abc'\n")
+    assert not re.search(r"(^|\W)_\w", r.stderr)
+
+
 # ----------------------------------------------------------------- perm
 
 
@@ -130,6 +139,18 @@ def test_perm_factorial_cap():
     assert "error" in r.stderr
     r = run_cli("perm", "--n", "21", "--method", "lehmer")
     assert r.returncode == 2
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # fy builds a list of n values, which for an in-range n can exceed
+    # memory; the route is replaced so that no real allocation is tried
+    def exhausted(source, n):
+        raise MemoryError
+    monkeypatch.setitem(cli._PERM_ROUTES, "fy", exhausted)
+    assert main(["perm", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "fastdice: error: out of memory\n"
 
 
 def test_perm_fy_has_no_cap(capsys):

@@ -345,6 +345,21 @@ def test_fourier_coefficients_decay():
         assert abs(c) < 0.4 / k
 
 
+def test_uncertifiable_terms_fail_on_the_first_zeta(monkeypatch):
+    # the remainder bound grows with tau_k, so the coefficients are taken
+    # from k = K down, and K = 601, the first K beyond 1e-13, fails at once
+    calls = []
+    zeta = cost_module.zeta_complex
+
+    def counting(s, *args):
+        calls.append(s)
+        return zeta(s, *args)
+    monkeypatch.setattr(cost_module, "zeta_complex", counting)
+    with pytest.raises(ValueError, match="cannot certify error 1e-13"):
+        cost_module._fourier_coefficients(601)
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------- breakdown
 
 
