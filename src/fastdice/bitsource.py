@@ -75,9 +75,13 @@ class RandomBitSource(ABC):
 
     def next_bits(self, k: int) -> int:
         """Return the next k >= 0 bits as one integer, first bit most
-        significant; counts as k bits consumed."""
+        significant; counts as k bits consumed.
+
+        Raises:
+            ValueError: k < 0, before any bit is read.
+        """
         next_bit = self.next_bit
-        x = 0
+        x = 0 << k  # a negative k raises here, as in BufferedWordSource
         for _ in range(k):
             x = (x << 1) | next_bit()
         return x
@@ -125,10 +129,10 @@ class BufferedWordSource(RandomBitSource):
     def next_bits(self, k: int) -> int:
         pos = self._pos
         if k <= pos:
-            pos -= k
-            self._pos = pos
+            mask = (1 << k) - 1  # a negative k raises here, before any store
+            self._pos = pos = pos - k
             self._count += k
-            return (self._word >> pos) & ((1 << k) - 1)
+            return (self._word >> pos) & mask
         # Drain the buffer, then take whole words until the last one is
         # only partly needed; counters move word by word, as they would
         # under k calls of next_bit.

@@ -7,11 +7,12 @@ Because r * 2**k mod n is eventually periodic (pre-period = the power of
 two in n, period = the multiplicative order of 2 modulo the odd part m),
 each series has an exact rational value, which this module computes in
 one closed form for both.  That period can be about m steps long, so the
-float-returning functions take another route: they sum about
-m.bit_length() + 72 terms of the series and return the double only once
-the tail bound certifies that it is correctly rounded.  On top of that
-sit the toll t(n) = u(n) - log2(n) in [0, 2], the per-value cost of
-batched draws u(n**j)/j, and the smooth approximation
+float-returning functions take another route: they truncate the series
+to about m.bit_length() + 72 terms, sum those in closed form too (one
+division and a weighted bit sum, no loop over the terms), and return the
+double only once the tail bound certifies that it is correctly rounded.
+On top of that sit the toll t(n) = u(n) - log2(n) in [0, 2], the
+per-value cost of batched draws u(n**j)/j, and the smooth approximation
 log2(n) + constant + P(log2 n), whose Fourier fluctuation P needs the
 Riemann zeta function on the line Re(s) = 1 (computed here by
 Euler-Maclaurin summation; no external math dependency).
@@ -49,62 +50,54 @@ def _period_of_two(m: int) -> int:
     return d
 
 
-def _weighted_bit_sum(x: int, width: int) -> int:
-    """sum of i * bit_i(x) * 2**i over bit positions i, divide and conquer.
+@lru_cache(maxsize=None)
+def _position_masks(levels: int) -> tuple[int, ...]:
+    """M_0 .. M_{levels-1} over 2**levels bits: M_t sets bit i exactly
+    when bit t of i is set.
 
-    Splitting x = hi*2**h + lo shifts hi's positions by h, adding
-    h * hi * 2**h beyond hi's own weighted sum.  Linearithmic in width,
-    which matters when the period (and so x) runs to millions of bits.
+    Built by doubling, in time linear in their total size: about
+    levels * 2**levels / 8 bytes, 128 KB at 16 levels but 5.6 MB at 21.
     """
-    if x == 0:
-        return 0
-    if width <= 64:
-        total = 0
-        i = 0
-        while x:
-            if x & 1:
-                total += i << i
-            x >>= 1
-            i += 1
-        return total
-    h = width >> 1
-    lo = x & ((1 << h) - 1)
-    hi = x >> h
-    return _weighted_bit_sum(lo, h) + (
-        (_weighted_bit_sum(hi, width - h) + h * hi) << h)
+    masks: tuple[int, ...] = ()
+    for t in range(levels):
+        h = 1 << t
+        masks = tuple(m | m << h for m in masks) + ((1 << 2 * h) - (1 << h),)
+    return masks
 
 
-def _periodic_cost_part(r: int, w: int) -> tuple[int, int]:
-    """sum_k (r * 2**k mod w) / 2**k for odd w >= 3 and any 0 <= r < w,
-    exactly, as an unreduced (numerator, denominator) pair.
+def _weighted_bit_sum(x: int) -> int:
+    """sum of i * bit_i(x) * 2**i over the bit positions i of x >= 0.
 
-    With d the period of 2 mod w, one period of the binary expansion of
-    r/w is the integer E = r * (2**d - 1) // w.  Position-weighting E's
-    bits turns the doubly infinite sum into
-    (w*(d*E - V) + d*r) / (2**d - 1), V the weighted bit sum: d*E - V
-    weights each bit of the first period by its position, and d*r adds
-    the d positions by which each later period is shifted.  No
-    term-by-term accumulation over the period.
+    Writing each position i in binary, i = sum of 2**t over its set bits
+    t, gives sum over t of (x & M_t) << t: one mask, shift and add per
+    bit of x's top position, however wide x is.
     """
-    d = _period_of_two(w)
-    big = (1 << d) - 1
-    e = r * big // w
-    v = _weighted_bit_sum(e, d)
-    return w * (d * e - v) + d * r, big
+    levels = (x.bit_length() - 1).bit_length()
+    # Caching at most 16 levels keeps the cache under 256 KB; a wider x
+    # (over 65536 bits) builds its masks for the one call.
+    build = _position_masks if levels <= 16 else _position_masks.__wrapped__
+    total = 0
+    for t, m in enumerate(build(levels)):
+        total += (x & m) << t
+    return total
 
 
 def _horner(r: int, mod: int, terms: int) -> int:
-    """sum of (r * 2**k mod mod) * 2**(terms-1-k) over k < terms.
+    """sum of (r * 2**k mod mod) * 2**(terms-1-k) over k < terms, for
+    0 <= r < mod and terms >= 0.
 
     Divided by 2**(terms-1) this is the partial sum of
     (r * 2**k mod mod) / 2**k; each omitted term is below mod / 2**k, so
-    the tail is below mod * 2**(1-terms).
+    the tail is below mod * 2**(1-terms).  Summed in closed form: term k
+    is r * 2**k minus mod times q_k = floor(r * 2**k / mod), the first k
+    binary digits of r/mod.  Those digits are the top bits of
+    F = q_{terms-1}, and bit i of F sits in q_k for the i + 1 values of k
+    from terms-1-i on, so the q_k part sums to W(F) + F, W the weighted
+    bit sum.
     """
-    acc = 0
-    for _ in range(terms):
-        acc = (acc << 1) + r
-        r = (r << 1) % mod
-    return acc
+    shift = terms - 1 if terms else 0  # no terms: f = 0 and the sum is 0
+    f = (r << shift) // mod
+    return (r * terms << shift) - mod * (_weighted_bit_sum(f) + f)
 
 
 def _series_double(r: int, mod: int, den: int, terms: int) -> float:
@@ -115,7 +108,9 @@ def _series_double(r: int, mod: int, den: int, terms: int) -> float:
     sum lies in [acc/scale, (acc+mod)/scale).  Rounding is monotone, so
     once both ends round to the same double (int true division rounds
     correctly) the sum does too; otherwise 64 more terms are taken.
-    Runtime grows with terms, never with the period of 2 mod mod.
+    Each pass is a few big-int operations on numbers of about terms bits,
+    plus one mask pass per bit of terms; none depends on the period of
+    2 mod mod.
 
     Callers start at mod.bit_length() + 72 terms.  The tail is then
     below 2**-71 / den, and the sum is at least its first term
@@ -135,17 +130,27 @@ def _series_exact(r: int, mod: int, den: int) -> Fraction:
     """sum of (r * 2**k mod mod) / (den * 2**k) over all k >= 0, exactly.
 
     The exact twin of _series_double.  With mod = 2**a * w, w odd, the
-    first a terms are a Horner sum; from term a on, r * 2**k mod mod is
-    2**a times (r mod w) * 2**(k-a) mod w, so the rest is the periodic
-    sum of r mod w over w, divided by den.  Both parts go over one common
-    denominator, so the Fraction is normalised once: at million-bit
-    periods that gcd costs more than finding the period and the bit sum.
+    first a terms are the truncated sum _horner; from term a on,
+    r * 2**k mod mod is 2**a times r' * 2**(k-a) mod w, r' = r mod w, so
+    the rest is a periodic sum over w, divided by den.  With d the period
+    of 2 mod w, one period of the binary expansion of r'/w is the integer
+    E = r' * (2**d - 1) // w.  Position-weighting E's bits turns that
+    doubly infinite sum into (w*(d*E - V) + d*r') / (2**d - 1), V the
+    weighted bit sum: d*E - V weights each bit of the first period by its
+    position, and d*r' adds the d positions by which each later period is
+    shifted.  Both parts go over one common denominator, so the Fraction
+    is normalised once: at million-bit periods that gcd costs more than
+    finding the period and the bit sum.
     """
     a, w = _split_power_of_two(mod)
     head = _horner(r, mod, a) << 1  # the first a terms, over den * 2**a
     if w == 1:
         return Fraction(head, den << a)
-    top, big = _periodic_cost_part(r % w, w)
+    r %= w
+    d = _period_of_two(w)
+    big = (1 << d) - 1
+    e = r * big // w
+    top = w * (d * e - _weighted_bit_sum(e)) + d * r  # the rest, over big
     return Fraction(head * big + (top << a), (den * big) << a)
 
 
@@ -162,10 +167,11 @@ def exact_cost_rational(n: int) -> Fraction:
 
 
 def cost_partial_sum(n: int, terms: int) -> Fraction:
-    """Truncated series for the expected bits, an independent cross-check.
+    """Truncated series for the expected bits: the sum of
+    (2**k mod n)/2**k over k < terms, exactly.
 
-    Direct Horner accumulation of (2**k mod n)/2**k over k < terms;
-    differs from the true value by less than n * 2**(1-terms).
+    Summed in closed form by _horner, like the float route; it differs
+    from the true value by less than n * 2**(1-terms).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -223,10 +229,10 @@ def nu_exact(p: Rational) -> Fraction:
 
     nu(p) is the expected flips an optimal sampler spends on an outcome
     of probability p.  It is the uniform cost's series with residue num
-    in place of 1, over den: the same closed form sums it, in time
-    linearithmic in the period.  Runtime and result size still grow with
-    the multiplicative order of 2 mod the odd part of den (worst case
-    about den); use nu when a double is enough.
+    in place of 1, over den: the same closed form sums it, with about
+    log2(period) mask passes over one period's bits.  Runtime and result
+    size still grow with the multiplicative order of 2 mod the odd part
+    of den (worst case about den); use nu when a double is enough.
     """
     r, den = _lowest_terms(p)
     return _series_exact(r, den, den)
@@ -283,7 +289,8 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
 
     Raises:
         PoleAtOne: s = 1.
-        ValueError: Re(s) <= 0, or target_error unreachable in doubles.
+        ValueError: Re(s) <= 0, min_direct_terms above 6400, or
+            target_error unreachable in doubles.
     """
     s = complex(s)
     if s == 1:
@@ -295,6 +302,8 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
                 _em_remainder_bound(s, n_direct) <= target_error:
             break
     else:
+        if min_direct_terms > n_direct:
+            raise ValueError(f"need min_direct_terms <= {n_direct}")
         raise ValueError(f"cannot certify error {target_error} at {s}")
 
     total = complex(0.0)
@@ -325,6 +334,9 @@ class AsymptoticParams(NamedTuple):
         return 0.5 + (1.0 - self.gamma) / LN2
 
 
+_DEFAULT_PARAMS = AsymptoticParams()
+
+
 @lru_cache(maxsize=None)
 def _fourier_coefficients(k_terms: int) -> tuple[complex, ...]:
     """zeta(1 + i*tau_k) / (1 + i*tau_k) for k = 1..k_terms,
@@ -341,6 +353,16 @@ def _fourier_coefficients(k_terms: int) -> tuple[complex, ...]:
     return tuple(reversed(out))
 
 
+@lru_cache(maxsize=None)
+def _fluctuation_terms(k_terms: int) -> tuple[tuple[float, float, float], ...]:
+    """(omega_k, Re c_k, Im c_k) for k = 1..k_terms, c_k the Fourier
+    coefficients and omega_k the double 2.0 * math.pi * k, so that
+    omega_k * frac is the phase 2*pi*k*frac rounded the same way each
+    call."""
+    return tuple((2.0 * math.pi * k, c.real, c.imag) for k, c in
+                 enumerate(_fourier_coefficients(k_terms), start=1))
+
+
 def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     """The truncated Fourier fluctuation P evaluated at log2n.
 
@@ -351,9 +373,10 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     """
     frac = log2n % 1.0
     total = 0.0
-    for k, c in enumerate(_fourier_coefficients(k_terms), start=1):
-        theta = 2.0 * math.pi * k * frac
-        total += 2.0 * (c.real * math.cos(theta) + c.imag * math.sin(theta))
+    cos, sin = math.cos, math.sin
+    for omega, re, im in _fluctuation_terms(k_terms):
+        theta = omega * frac
+        total += 2.0 * (re * cos(theta) + im * sin(theta))
     return -total / LN2
 
 
@@ -366,8 +389,7 @@ def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    if params is None:
-        params = AsymptoticParams()
+    params = params or _DEFAULT_PARAMS
     log2n = math.log2(n)
     return log2n + params.constant + periodic_fluctuation(log2n, params.k_terms)
 

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from fastdice import (BufferedWordSource, ScriptExhausted, ScriptedBitSource,
-                      ScriptedWords, SplitMix64Words)
+from fastdice import (BufferedWordSource, RandomBitSource, ScriptExhausted,
+                      ScriptedBitSource, ScriptedWords, SplitMix64Words)
 
 
 def test_scripted_identity():
@@ -205,3 +205,39 @@ def test_buffered_word_exhaustion_state_is_method_independent(read):
         read(src)
         read(src)
     assert (src.bits_consumed(), src.words_fetched) == (64, 2)
+
+
+class _Ones(RandomBitSource):
+    """A source that inherits the default next_bits loop."""
+
+    def __init__(self):
+        self.count = 0
+
+    def next_bit(self):
+        self.count += 1
+        return 1
+
+    def bits_consumed(self):
+        return self.count
+
+    def reset_bit_count(self):
+        self.count = 0
+
+
+def _state(src):
+    return (src.bits_consumed(), getattr(src, "words_fetched", None),
+            getattr(src, "remaining", None), src.next_bits(40))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BufferedWordSource(1), lambda: ScriptedBitSource([1, 0, 0] * 30),
+    _Ones], ids=["buffered", "scripted", "default"])
+@pytest.mark.parametrize("before", [0, 5, 32, 45])
+def test_negative_width_raises_and_changes_nothing(make, before):
+    src, ref = make(), make()
+    src.next_bits(before)
+    ref.next_bits(before)
+    for k in (-1, -3, -40):
+        with pytest.raises(ValueError):
+            src.next_bits(k)
+    assert _state(src) == _state(ref)

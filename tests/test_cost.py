@@ -41,8 +41,9 @@ def test_cost_validation():
 
 
 def test_rational_vs_truncated_cross_check():
-    # two independent routes: closed-form periodic value vs direct partial
-    # sums; the tail after K terms is below n * 2**(1-K)
+    # the closed-form periodic value against the truncated series (itself
+    # locked to a term-by-term reference_horner in test_differential); the
+    # tail after K terms is below n * 2**(1-K)
     for n in [3, 5, 6, 7, 9, 24, 100, 729, 1000]:
         exact = exact_cost_rational(n)
         for terms in (80, 120):
@@ -282,6 +283,15 @@ def test_zeta_domain_errors():
         zeta_complex(complex(0.0, 3.0))
     with pytest.raises(ValueError):
         zeta_complex(complex(-2.0, 0.0))
+
+
+def test_zeta_names_the_direct_terms_limit():
+    # 1e-12 at s = 2 is reached well below the ladder's top of 6400
+    # direct terms; asking for more is the caller's error, not the bound's
+    assert zeta_complex(2, 1e-12, min_direct_terms=6400) == \
+        pytest.approx(math.pi ** 2 / 6, abs=1e-12)
+    with pytest.raises(ValueError, match="min_direct_terms <= 6400"):
+        zeta_complex(2, 1e-12, min_direct_terms=6401)
 
 
 # ------------------------------------------------------------ asymptotic

@@ -10,6 +10,10 @@ ScriptExhausted on exactly the bit strings where the reference does.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
+``reference_horner``, ``reference_weighted_bit_sum`` and
+``reference_periodic_fluctuation`` are the cost layer's term-by-term,
+bit-by-bit and coefficient-by-coefficient loops; the closed forms and the
+precomputed table must return the same integers and the same doubles.
 
 The ``reference_*`` permutation routes are the library's permutation code
 from before every route shared one swap loop and one code draw: the
@@ -32,6 +36,7 @@ from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
                       factorial_compose, factorial_decompose, fdr_uniform,
                       fisher_yates, nu_exact, random_lehmer_code,
                       random_permutation_unranked)
+from fastdice import cost
 from fastdice.cli import _PERM_ROUTES
 
 
@@ -202,6 +207,73 @@ def reference_horner(r, mod, terms):
         acc = (acc << 1) + r
         r = (r << 1) % mod
     return acc
+
+
+def horner_cases():
+    """Seeded (r, mod, terms) with 0 <= r < mod: mod = 1, even mod,
+    r = 0, terms 0, 1, 2 and 2**k - 1, 2**k, 2**k + 1 up to 2**12, then
+    three runs of 10**5 terms."""
+    rng = random.Random(86)
+    out = [(0, 1, terms) for terms in (0, 1, 2, 5, 64)]
+    lengths = [0, 1, 2] + [(1 << k) + e for k in range(2, 13)
+                           for e in (-1, 0, 1)]
+    for terms in lengths:
+        for bits in (1, 2, 7, 33, 64, 65, 130):
+            mod = rng.getrandbits(bits) | 1 << (bits - 1)
+            for r in (0, 1 % mod, mod - 1, rng.randrange(mod)):
+                out.append((r, mod, terms))
+            even = mod << rng.randint(1, 9)
+            out.append((rng.randrange(even), even, terms))
+    out += [(1, 3 ** 13, 10 ** 5), (12345, (3 ** 13 + 2) << 3, 10 ** 5),
+            (rng.randrange(1 << 61), (1 << 62) - 1, 10 ** 5)]
+    return out
+
+
+def test_horner_matches_reference():
+    for r, mod, terms in horner_cases():
+        got = cost._horner(r, mod, terms)
+        assert got == reference_horner(r, mod, terms), (r, mod, terms)
+
+
+def reference_weighted_bit_sum(x):
+    """sum of i * bit_i(x) * 2**i, bit by bit."""
+    return sum(i << i for i, b in enumerate(reversed(bin(x)[2:])) if b == "1")
+
+
+def test_weighted_bit_sum_matches_reference():
+    rng = random.Random(300)
+    assert cost._weighted_bit_sum(0) == 0
+    for width in range(1, 301):
+        top = 1 << (width - 1)
+        for x in (top, (top << 1) - 1, top | rng.getrandbits(width - 1)):
+            assert cost._weighted_bit_sum(x) == reference_weighted_bit_sum(x)
+    # one period of the binary expansion of 2/w: 2 * 3**9 bits for
+    # 3**10, whose masks are cached, and 2 * 3**10 bits for 3**11,
+    # whose masks are not
+    for w in (3 ** 10, 3 ** 11):
+        e = 2 * ((1 << cost._period_of_two(w)) - 1) // w
+        assert cost._weighted_bit_sum(e) == reference_weighted_bit_sum(e)
+
+
+def reference_periodic_fluctuation(log2n, k_terms):
+    """The fluctuation's loop before its (2*pi*k, Re c_k, Im c_k) table."""
+    frac = log2n % 1.0
+    total = 0.0
+    for k, c in enumerate(cost._fourier_coefficients(k_terms), start=1):
+        theta = 2.0 * math.pi * k * frac
+        total += 2.0 * (c.real * math.cos(theta) + c.imag * math.sin(theta))
+    return -total / cost.LN2
+
+
+@pytest.mark.parametrize("k_terms", [1, 3, 12, 40])
+def test_periodic_fluctuation_matches_reference_bit_for_bit(k_terms):
+    rng = random.Random(k_terms)
+    points = [rng.uniform(0.0, 64.0) for _ in range(10000)]
+    points += [0.0, 0.5, 1.0 - 2 ** -53, 62.0, math.log2(3),
+               math.log2(10 ** 18 + 9)]
+    for x in points:
+        assert cost.periodic_fluctuation(x, k_terms) == \
+            reference_periodic_fluctuation(x, k_terms), x
 
 
 def reference_nu_exact(p):
