@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bitsource import RandomBitSource
-from .core import MAX_UNIFORM_RANGE, check_range, fdr_uniform
+from .core import MAX_UNIFORM_RANGE, _fdr, check_range
 from .errors import Overflow
 
 
@@ -72,7 +72,7 @@ def batch_uniform(source: RandomBitSource, plan: BatchPlan) -> list[int]:
     digits, most significant digit first.  The digits are independent
     and exactly uniform, in the listed order.
     """
-    y = fdr_uniform(source, plan.n_pow_j).value
+    y = _fdr(source, plan.n_pow_j)[0]
     n = plan.n
     out = [0] * plan.j
     for i in range(plan.j - 1, -1, -1):

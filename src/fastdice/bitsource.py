@@ -5,8 +5,11 @@ Samplers in this package consume randomness through the
 a fast path over the same stream, k bits read as one integer with
 ``next_bits``.  The production source buffers 32-bit words from an
 injected word generator and serves their bits most significant first, so
-k bits cost exactly ceil(k/32) words however they are read.  A scripted source replays a
-fixed bit list for tests and worked traces.
+k bits cost exactly ceil(k/32) words however they are read.  Its bit
+counter is derived, not kept: the bits served are 32 per word fetched
+less the bits still unread in the buffer, so a read updates no counter
+beyond the buffer position (and the word count, once per fetched word).
+A scripted source replays a fixed bit list for tests and worked traces.
 """
 
 from __future__ import annotations
@@ -38,12 +41,10 @@ class SplitMix64Words:
         self._state = seed & _MASK64
 
     def next_word(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
+        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z ^= z >> 31
-        return z >> 32
+        return (z ^ (z >> 31)) >> 32
 
 
 class ScriptedWords:
@@ -103,17 +104,29 @@ class BufferedWordSource(RandomBitSource):
     cost exactly ceil(k/32) words whether they are read by ``next_bit``
     or ``next_bits``.  State is per instance: independent sources never
     share a buffer or counter.
+
+    No read updates a bit counter: ``bits_consumed`` is derived as
+    32 * words fetched - bits still unread in the buffer - the value
+    that sum had at the last ``reset_bit_count``.
+
+    Raises:
+        TypeError: the argument is neither an int seed nor an object
+            with a callable ``next_word``.
     """
 
     def __init__(self, seed_or_generator: int | WordGenerator = 0):
         if isinstance(seed_or_generator, int):
             self._gen: WordGenerator = SplitMix64Words(seed_or_generator)
-        else:
+        elif callable(getattr(seed_or_generator, "next_word", None)):
             self._gen = seed_or_generator
+        else:
+            raise TypeError(
+                "need an int seed or a word generator with next_word(), "
+                f"got {type(seed_or_generator).__name__}")
         self._word = 0
         self._pos = 0  # bits still unread in the buffered word
-        self._count = 0
         self._words_fetched = 0
+        self._base = 0  # 32 * words fetched - pos at the last reset
 
     def next_bit(self) -> int:
         pos = self._pos
@@ -123,7 +136,6 @@ class BufferedWordSource(RandomBitSource):
             pos = 32
         pos -= 1
         self._pos = pos
-        self._count += 1
         return (self._word >> pos) & 1
 
     def next_bits(self, k: int) -> int:
@@ -131,14 +143,13 @@ class BufferedWordSource(RandomBitSource):
         if k <= pos:
             mask = (1 << k) - 1  # a negative k raises here, before any store
             self._pos = pos = pos - k
-            self._count += k
             return (self._word >> pos) & mask
         # Drain the buffer, then take whole words until the last one is
-        # only partly needed; counters move word by word, as they would
-        # under k calls of next_bit.
+        # only partly needed.  The word count moves word by word and the
+        # buffer reads empty meanwhile, so a fetch that raises leaves the
+        # counters where k calls of next_bit would.
         x = self._word & ((1 << pos) - 1)
         k -= pos
-        self._count += pos
         self._pos = 0
         next_word = self._gen.next_word
         while True:
@@ -147,19 +158,17 @@ class BufferedWordSource(RandomBitSource):
             if k <= 32:
                 break
             x = (x << 32) | word
-            self._count += 32
             k -= 32
         pos = 32 - k
         self._word = word
         self._pos = pos
-        self._count += k
         return (x << k) | (word >> pos)
 
     def bits_consumed(self) -> int:
-        return self._count
+        return 32 * self._words_fetched - self._pos - self._base
 
     def reset_bit_count(self) -> None:
-        self._count = 0
+        self._base = 32 * self._words_fetched - self._pos
 
     @property
     def words_fetched(self) -> int:

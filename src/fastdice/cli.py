@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from .batch import auto_batch_size, batch_uniform, plan_batch
 from .bernoulli import Rational, bernoulli_rational, check_denominator
 from .bitsource import BufferedWordSource
-from .core import check_range, fdr_uniform
+from .core import _fdr, check_range
 from .errors import FastdiceError
 from .permutation import (check_unrank_size, fisher_yates,
                           lehmer_to_permutation_selection, random_lehmer_code,
@@ -149,7 +149,7 @@ def _uniform_draws(args: argparse.Namespace
     if args.batch is None:
         check_range(args.n)
         return source, None, (
-            fdr_uniform(source, args.n).value for _ in range(args.count))
+            _fdr(source, args.n)[0] for _ in range(args.count))
     j = auto_batch_size(args.n) if args.batch == "auto" else args.batch
     if args.count % j != 0:
         raise FastdiceError(

@@ -16,6 +16,12 @@ to n or above are read as one integer: (n-1).bit_length() of them at the
 start, and after each reduction the fewest j with v * 2**j >= n.  That
 reads exactly the flips a one-flip-per-step loop would, in the same
 order, and stops at the same flip.
+
+The loop lives in ``_fdr``, which returns a plain (value, bits_used)
+tuple.  ``fdr_uniform`` is the only place that builds the ``FdrOutcome``
+record; the samplers built on it (batches, permutations, ranges, the
+CLI) index ``[0]`` of ``_fdr`` instead, so a draw whose bit count nobody
+reads builds no record.
 """
 
 from __future__ import annotations
@@ -69,9 +75,15 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
         RangeTooLarge: n > 2**62.
         Both come from ``check_range`` before any flip is read.
     """
+    # tuple.__new__ skips the Python-level FdrOutcome.__new__ frame.
+    return tuple.__new__(FdrOutcome, _fdr(source, n))
+
+
+def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
+    """``fdr_uniform`` as a plain (value, bits_used) tuple."""
     if not 1 < n <= MAX_UNIFORM_RANGE:  # one comparison on the hot path
         check_range(n)
-        return FdrOutcome(0, 0)
+        return 0, 0
 
     next_bits = source.next_bits
     width = (n - 1).bit_length()
@@ -81,7 +93,7 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
     while True:
         assert c < v and n <= v < (n << 1)  # loop invariant; stripped under -O
         if c < n:
-            return FdrOutcome(c, bits)
+            return c, bits
         # c landed in the rejection band [n, v): recycle it as a uniform
         # draw on the leftover range of size v - n, then double it back
         # to n or above.
@@ -104,4 +116,4 @@ def fdr_uniform_range(source: RandomBitSource, lo: int, hi: int) -> int:
     """
     if lo > hi:
         raise EmptyRange(f"empty range [{lo}, {hi}]")
-    return lo + fdr_uniform(source, hi - lo + 1).value
+    return lo + _fdr(source, hi - lo + 1)[0]

@@ -29,7 +29,7 @@ from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
-from .core import check_range, fdr_uniform
+from .core import _fdr, check_range
 from .errors import DigitOutOfRange, FactorialOverflow, RankOutOfRange
 
 # 20! = 2432902008176640000 < 2**62 < 21!; larger sizes would push the
@@ -163,7 +163,7 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     check_range(n or 1)  # n = 0 is the empty permutation
-    return _swaps(n, (fdr_uniform(source, n - i).value for i in range(n)))
+    return _swaps(n, (_fdr(source, n - i)[0] for i in range(n)))
 
 
 def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
@@ -179,7 +179,7 @@ def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
         Both come from ``check_unrank_size``.
     """
     check_unrank_size(n)
-    u = fdr_uniform(source, math.factorial(n)).value
+    u = _fdr(source, math.factorial(n))[0]
     return factorial_decompose(Rank(u, n))
 
 

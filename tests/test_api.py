@@ -12,7 +12,8 @@ import pytest
 
 import fastdice
 from fastdice import (AsymptoticParams, CostBreakdown, DigitOutOfRange,
-                      LehmerCode, Rank, RankOutOfRange, Rational)
+                      FdrOutcome, LehmerCode, Rank, RankOutOfRange, Rational,
+                      ScriptedBitSource, fdr_uniform)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -67,6 +68,9 @@ VALUES = [
      "log2n=2.0, toll=0.0, asymptotic=None)",
      CostBreakdown(n=4, exact_cost=2.0, log2n=2.0, toll=0.0, asymptotic=None),
      CostBreakdown(4, 2.0, 2.0, 0.0, 2.1), "toll"),
+    (fdr_uniform(ScriptedBitSource([0, 1, 1]), 6),
+     "FdrOutcome(value=3, bits_used=3)", FdrOutcome(value=3, bits_used=3),
+     FdrOutcome(3, 4), "bits_used"),
 ]
 IDS = [type(v[0]).__name__ for v in VALUES]
 
@@ -82,6 +86,13 @@ def test_value_class_contract(value, text, same, other, field):
     assert getattr(value, field) == getattr(same, field)
     assert pickle.loads(pickle.dumps(value)) == value
     assert copy.copy(value) == copy.deepcopy(value) == value
+
+
+@pytest.mark.parametrize("n, bits", [(1, []), (6, [1, 1, 0, 0, 1]),
+                                     (1 << 62, [0] * 62)])
+def test_fdr_uniform_returns_the_record(n, bits):
+    # n = 1 returns before the loop, the others from inside it
+    assert type(fdr_uniform(ScriptedBitSource(bits), n)) is FdrOutcome
 
 
 def test_rational_is_a_record_not_a_tuple():

@@ -102,6 +102,12 @@ def test_splitmix_words_are_32_bit():
         assert 0 <= w < 1 << 32
 
 
+@pytest.mark.parametrize("bad", [1.5, "7", None, object()])
+def test_non_generator_is_refused_at_construction(bad):
+    with pytest.raises(TypeError, match="need an int seed or a word generator"):
+        BufferedWordSource(bad)
+
+
 def test_scripted_words_exhaustion():
     gen = ScriptedWords([1, 2])
     assert gen.next_word() == 1
@@ -241,3 +247,45 @@ def test_negative_width_raises_and_changes_nothing(make, before):
         with pytest.raises(ValueError):
             src.next_bits(k)
     assert _state(src) == _state(ref)
+
+
+# ------------------------------------------- counter differential test
+
+
+def _splitmix_words(seed, count):
+    """SplitMix64's top 32 bits, written out step by step as published."""
+    mask = (1 << 64) - 1
+    state, words = seed & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        words.append(z >> 32)
+    return words
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_derived_counter_matches_a_per_bit_counter(seed):
+    # Random interleavings of single reads, bulk reads of 0..70 bits and
+    # counter resets, against a scripted source that counts every bit.
+    rng = random.Random(seed)
+    words = _splitmix_words(seed, 400 * 70 // 32 + 1)
+    src = BufferedWordSource(seed)
+    ref = ScriptedBitSource((w >> (31 - i)) & 1 for w in words
+                            for i in range(32))
+    total = len(words) * 32
+    for _ in range(400):
+        op = rng.choice(("bit", "reset", "bits", "bits", "bits"))
+        if op == "bit":
+            assert src.next_bit() == ref.next_bit()
+        elif op == "reset":
+            src.reset_bit_count()
+            ref.reset_bit_count()
+        else:
+            k = rng.randint(0, 70)
+            assert src.next_bits(k) == ref.next_bits(k), k
+        assert src.bits_consumed() == ref.bits_consumed()
+        served = total - ref.remaining
+        assert src.words_fetched == -(-served // 32)
