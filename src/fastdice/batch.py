@@ -4,23 +4,57 @@ Drawing j values from {0,...,n-1} one at a time pays the per-draw toll j
 times.  Drawing a single uniform on {0,...,n**j - 1} and reading off its
 j base-n digits pays the toll once, so the per-value cost drops from
 u(n) to u(n**j)/j, within 2/j bits of the log2(n) entropy floor.
+
+The master draw is split by ``core._split``, the mixed-radix split that
+also writes a permutation rank's factorial-base digits.  A ``BatchPlan``
+is checked when it is built, by ``plan_batch`` or directly, so a draw
+checks nothing but the master range.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .bitsource import RandomBitSource
-from .core import MAX_UNIFORM_RANGE, _fdr, check_range
+from .core import MAX_UNIFORM_RANGE, _fdr, _split, check_range
 from .errors import Overflow
 
 
-class BatchPlan(NamedTuple):
-    """A validated (n, j) pair with the precomputed master range n**j."""
+def _checked_power(n: int, j: int) -> int:
+    """n**j for a valid batch request (see ``plan_batch``)."""
+    if n < 2:
+        raise ValueError(f"need n >= 2, got {n}")
+    if j < 1:
+        raise ValueError(f"need j >= 1, got {j}")
+    check_range(n)
+    if j > 62:  # n >= 2, so n**j >= 2**j > 2**62
+        raise Overflow(f"{n}**{j} exceeds 2**62")
+    power = n ** j
+    if power > MAX_UNIFORM_RANGE:
+        raise Overflow(f"{n}**{j} = {power} exceeds 2**62")
+    return power
 
-    n: int
-    j: int
-    n_pow_j: int
+
+class BatchPlan(namedtuple("BatchPlan", "n j n_pow_j")):
+    """A validated (n, j) pair with the precomputed master range n**j.
+
+    Built by ``plan_batch``; built directly, it runs the same checks and
+    also requires n_pow_j == n**j, so a plan that would skew the digits
+    cannot exist.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, j: int, n_pow_j: int):
+        power = _checked_power(n, j)
+        if n_pow_j != power:
+            raise ValueError(f"need n_pow_j == {n}**{j} = {power}, "
+                             f"got {n_pow_j}")
+        return tuple.__new__(cls, (n, j, power))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
 
 def plan_batch(n: int, j: int) -> BatchPlan:
@@ -34,17 +68,7 @@ def plan_batch(n: int, j: int) -> BatchPlan:
         RangeTooLarge: n > 2**62 (from ``check_range``).
         Overflow: n**j > 2**62.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
-    check_range(n)
-    if j > 62:  # n >= 2, so n**j >= 2**j > 2**62
-        raise Overflow(f"{n}**{j} exceeds 2**62")
-    power = n ** j
-    if power > MAX_UNIFORM_RANGE:
-        raise Overflow(f"{n}**{j} = {power} exceeds 2**62")
-    return BatchPlan(n, j, power)
+    return tuple.__new__(BatchPlan, (n, j, _checked_power(n, j)))
 
 
 def auto_batch_size(n: int) -> int:
@@ -72,9 +96,4 @@ def batch_uniform(source: RandomBitSource, plan: BatchPlan) -> list[int]:
     digits, most significant digit first.  The digits are independent
     and exactly uniform, in the listed order.
     """
-    y = _fdr(source, plan.n_pow_j)[0]
-    n = plan.n
-    out = [0] * plan.j
-    for i in range(plan.j - 1, -1, -1):
-        y, out[i] = divmod(y, n)
-    return out
+    return _split(_fdr(source, plan.n_pow_j)[0], [plan.n] * plan.j)

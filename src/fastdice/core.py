@@ -19,14 +19,25 @@ order, and stops at the same flip.
 
 The loop lives in ``_fdr``, which returns a plain (value, bits_used)
 tuple.  ``fdr_uniform`` is the only place that builds the ``FdrOutcome``
-record; the samplers built on it (batches, permutations, ranges, the
-CLI) index ``[0]`` of ``_fdr`` instead, so a draw whose bit count nobody
-reads builds no record.
+record; the samplers that make one draw at a time (batches, unranking,
+ranges, the CLI's ``uniform``) index ``[0]`` of ``_fdr`` instead, so a
+draw whose bit count nobody reads builds no record.
+
+``_fdr_each`` runs the same loop over a sequence of sizes in one frame
+and returns the values: Fisher-Yates draws a whole permutation's digits
+through it, paying one call instead of one per digit.  It keeps a second
+copy of the loop because a single draw sent through the sequence kernel
+pays for the list and the outer loop it does not need; single draws stay
+on ``_fdr``.
+
+``_split`` writes an integer in a mixed radix, most significant digit
+first.  It turns one master draw into many values: a batch's base-n
+digits, a rank's factorial-base Lehmer code.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitsource import RandomBitSource
 from .errors import EmptyRange, RangeTooLarge
@@ -105,6 +116,51 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
         v <<= j
         c = (c << j) | next_bits(j)
         bits += j
+
+
+def _fdr_each(source: RandomBitSource, sizes: Iterable[int]) -> list[int]:
+    """``[_fdr(source, n)[0] for n in sizes]``, in one frame.
+
+    Makes the same ``next_bits`` reads as the per-size calls, in the same
+    order, and checks each size the same way when it is reached: a bad
+    size raises ``check_range``'s error after the earlier sizes' flips.
+    """
+    next_bits = source.next_bits
+    values = []
+    append = values.append
+    for n in sizes:
+        if not 1 < n <= MAX_UNIFORM_RANGE:  # as in _fdr
+            check_range(n)
+            append(0)
+            continue
+        width = (n - 1).bit_length()
+        v = 1 << width
+        c = next_bits(width)
+        while True:
+            assert c < v and n <= v < (n << 1)  # _fdr's loop invariant
+            if c < n:
+                break
+            v -= n
+            c -= n
+            j = width - v.bit_length()
+            if v << j < n:
+                j += 1
+            v <<= j
+            c = (c << j) | next_bits(j)
+        append(c)
+    return values
+
+
+def _split(y: int, radices: Sequence[int]) -> list[int]:
+    """Digits of 0 <= y < prod(radices) in that mixed radix, most
+    significant first: y = (...(d[0]*r[1] + d[1])*r[2] + ...) + d[-1],
+    with 0 <= d[i] < radices[i]."""
+    digits = []
+    for r in reversed(radices):
+        y, d = divmod(y, r)
+        digits.append(d)
+    digits.reverse()
+    return digits
 
 
 def fdr_uniform_range(source: RandomBitSource, lo: int, hi: int) -> int:

@@ -5,8 +5,9 @@ digits, the digit of positional size n - idx at index idx) sent through
 a fixed bijection.  Two ways to draw a code, times two bijections:
 
 * Drawing the code: digit by digit, each uniform on its own size, which
-  spends u(n) + ... + u(2) flips (``fisher_yates``); or as one uniform
-  rank below n! split in factorial base, which spends u(n!) flips, the
+  spends u(n) + ... + u(2) flips (``fisher_yates``, all n - 1 draws in
+  one ``core._fdr_each`` pass); or as one uniform rank below n! split in
+  factorial base by ``core._split``, which spends u(n!) flips, the
   optimum for the whole object (``random_lehmer_code``).
 * Mapping it: the Fisher-Yates swaps, where step i swaps position i
   with i + digit i (``lehmer_to_permutation_fy``, linear time); or
@@ -17,7 +18,10 @@ a fixed bijection.  Two ways to draw a code, times two bijections:
 ``fisher_yates`` is the digit-by-digit draw through the swaps and
 ``random_permutation_unranked`` is the rank draw through the swaps; the
 rank draw through the selection construction is the CLI's ``lehmer``
-method.
+method.  The drawing routes go from the drawn integers straight to the
+digits and the swaps: they build no ``Rank``, and the digits of a rank
+below n! are in range by construction, so no ``LehmerCode`` is checked
+again.
 
 Permutation values are one-indexed; ranks and code digits are zero-based.
 """
@@ -29,7 +33,7 @@ from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
-from .core import _fdr, check_range
+from .core import _fdr, _fdr_each, _split, check_range
 from .errors import DigitOutOfRange, FactorialOverflow, RankOutOfRange
 
 # 20! = 2432902008176640000 < 2**62 < 21!; larger sizes would push the
@@ -103,11 +107,7 @@ def factorial_decompose(rank: Rank) -> LehmerCode:
     from the lowest position up; the digit bounds make the representation
     unique.
     """
-    u = rank.value
-    digits = [0] * rank.n
-    for size in range(1, rank.n + 1):
-        u, digits[-size] = divmod(u, size)  # index n - size has that size
-    return LehmerCode(tuple(digits))
+    return LehmerCode(tuple(_split(rank.value, range(rank.n, 0, -1))))
 
 
 def factorial_compose(code: LehmerCode) -> Rank:
@@ -129,9 +129,9 @@ def lehmer_to_permutation_selection(code: LehmerCode) -> list[int]:
     return [items.pop(d) for d in code.digits]
 
 
-def _swaps(n: int, offsets: Iterable[int]) -> list[int]:
-    """Step i (0-based) swaps position i with position i + offsets[i]."""
-    t = list(range(1, n + 1))
+def _swaps(t: list[int], offsets: Iterable[int]) -> list[int]:
+    """Step i (0-based) swaps t[i] with t[i + offsets[i]], in place;
+    returns t."""
     for i, d in enumerate(offsets):
         k = i + d
         t[i], t[k] = t[k], t[i]
@@ -145,15 +145,16 @@ def lehmer_to_permutation_fy(code: LehmerCode) -> list[int]:
     i.e. digits drive the shuffle in the order they were decomposed.
     Linear time; a different bijection than the selection construction.
     """
-    return _swaps(code.n, code.digits)
+    return _swaps(list(range(1, code.n + 1)), code.digits)
 
 
 def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     """Uniform random permutation of {1,...,n} by exact-uniform swaps.
 
-    The code's digits are drawn lazily, one per swap: step i (0-based)
-    draws an offset uniform on n - i values; the final step draws from a
-    single value and costs zero bits.
+    Step i (0-based) swaps with an offset uniform on n - i values.  The
+    offsets are drawn first, in that order, in one ``_fdr_each`` pass;
+    the last one, on a single value, is always 0 and is not drawn, which
+    saves a call and no flip.
 
     Raises:
         ValueError: n < 0.
@@ -163,7 +164,16 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     check_range(n or 1)  # n = 0 is the empty permutation
-    return _swaps(n, (_fdr(source, n - i)[0] for i in range(n)))
+    # The list comes first, so an n too large for memory fails before
+    # any flip is read rather than after drawing its offsets.
+    t = list(range(1, n + 1))
+    return _swaps(t, _fdr_each(source, range(n, 1, -1)))
+
+
+def _rank_digits(source: RandomBitSource, n: int) -> list[int]:
+    """The factorial-base digits of one uniform rank below n!."""
+    check_unrank_size(n)
+    return _split(_fdr(source, math.factorial(n))[0], range(n, 0, -1))
 
 
 def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
@@ -178,22 +188,25 @@ def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
         Both come from ``check_unrank_size``.
     """
-    check_unrank_size(n)
-    u = _fdr(source, math.factorial(n))[0]
-    return factorial_decompose(Rank(u, n))
+    # The digits of a rank below n! are in range: skip LehmerCode's check.
+    return tuple.__new__(LehmerCode, (tuple(_rank_digits(source, n)),))
 
 
 def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
     """Uniform permutation from a single uniform rank below n!.
 
-    The code from ``random_lehmer_code`` mapped through the Fisher-Yates
-    bijection.  Total expected bits are u(n!), optimal for generating the
+    The digits ``random_lehmer_code`` draws, sent straight through the
+    Fisher-Yates swaps (``lehmer_to_permutation_fy``) without building the
+    code.  Total expected bits are u(n!), optimal for generating the
     permutation as one object.
 
     Raises:
+        ValueError: n < 0.
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
+        Both come from ``check_unrank_size``.
     """
-    return lehmer_to_permutation_fy(random_lehmer_code(source, n))
+    digits = _rank_digits(source, n)  # checks n before the list is built
+    return _swaps(list(range(1, n + 1)), digits)
 
 
 def inversion_count(perm: Sequence[int]) -> int:

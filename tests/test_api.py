@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import fastdice
-from fastdice import (AsymptoticParams, CostBreakdown, DigitOutOfRange,
-                      FdrOutcome, LehmerCode, Rank, RankOutOfRange, Rational,
-                      ScriptedBitSource, fdr_uniform)
+from fastdice import (AsymptoticParams, BatchPlan, CostBreakdown,
+                      DigitOutOfRange, FdrOutcome, LehmerCode, Rank,
+                      RankOutOfRange, Rational, ScriptedBitSource, fdr_uniform,
+                      plan_batch)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,6 +72,8 @@ VALUES = [
     (fdr_uniform(ScriptedBitSource([0, 1, 1]), 6),
      "FdrOutcome(value=3, bits_used=3)", FdrOutcome(value=3, bits_used=3),
      FdrOutcome(3, 4), "bits_used"),
+    (plan_batch(6, 2), "BatchPlan(n=6, j=2, n_pow_j=36)",
+     BatchPlan(n=6, j=2, n_pow_j=36), BatchPlan(6, 3, 216), "j"),
 ]
 IDS = [type(v[0]).__name__ for v in VALUES]
 
@@ -121,6 +124,10 @@ def test_rational_is_a_record_not_a_tuple():
      "rank 6 outside [0, 3!)"),
     (lambda: LehmerCode((1, 0))._replace(digits=(2, 0)), DigitOutOfRange,
      "digit 2 at position size 2 (index 0)"),
+    (lambda: plan_batch(6, 2)._replace(n_pow_j=5), ValueError,
+     "need n_pow_j == 6**2 = 36, got 5"),
+    (lambda: plan_batch(6, 2)._replace(j=3), ValueError,
+     "need n_pow_j == 6**3 = 216, got 36"),
 ])
 def test_value_class_validation(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

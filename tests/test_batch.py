@@ -2,10 +2,10 @@ import time
 
 import pytest
 
-from fastdice import (BufferedWordSource, Overflow, RangeTooLarge,
-                      ScriptedBitSource, ScriptExhausted, auto_batch_size,
-                      batch_cost, batch_uniform, check_range, fdr_uniform,
-                      plan_batch)
+from fastdice import (BatchPlan, BufferedWordSource, FastdiceError, Overflow,
+                      RangeTooLarge, ScriptedBitSource, ScriptExhausted,
+                      auto_batch_size, batch_cost, batch_uniform, check_range,
+                      fdr_uniform, plan_batch)
 
 
 def test_plan_examples():
@@ -36,6 +36,28 @@ def test_plan_validation():
         plan_batch(3, 0)
     with pytest.raises(RangeTooLarge, match=r"^n=4611686018427387905 exceeds"):
         plan_batch(2 ** 62 + 1, 1)  # the range guard, not an n**1 overflow
+
+
+def test_batch_plan_is_validated_when_built():
+    # A plan whose master range is not n**j would skew the digits: under
+    # (6, 2, 40) the first digit would be 0 on 10 of 40 master values, and
+    # under (6, 2, 30) it would never be 5.  Such a plan cannot be built,
+    # directly or by _replace, and a bad (n, j) fails as in plan_batch.
+    for n_pow_j in (40, 30, 35, 37, 0):
+        with pytest.raises(ValueError, match=r"^need n_pow_j == 6\*\*2 = 36"):
+            BatchPlan(6, 2, n_pow_j)
+    with pytest.raises(ValueError, match=r"^need n_pow_j == 6\*\*2 = 36"):
+        plan_batch(6, 2)._replace(n_pow_j=5)
+    for n, j in [(1, 3), (3, 0), (2 ** 62 + 1, 1), (10, 19), (2, 63),
+                 (3, 10 ** 7)]:
+        with pytest.raises((ValueError, FastdiceError)) as want:
+            plan_batch(n, j)
+        with pytest.raises(type(want.value)) as got:
+            BatchPlan(n, j, 36)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+    assert BatchPlan(6, 2, 36) == plan_batch(6, 2) == (6, 2, 36)
+    assert type(plan_batch(6, 2)) is BatchPlan
 
 
 def test_auto_batch_size():

@@ -7,6 +7,8 @@ consume: the library must return the same value, report the same
 ``bits_used`` and leave the source in the same state (bits consumed,
 words fetched, script cursor), draw after draw, and must raise
 ScriptExhausted on exactly the bit strings where the reference does.
+The sequence kernel ``core._fdr_each`` must equal one reference draw per
+size, in order, the same way.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
@@ -36,7 +38,7 @@ from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
                       factorial_compose, factorial_decompose, fdr_uniform,
                       fisher_yates, nu_exact, random_lehmer_code,
                       random_permutation_unranked)
-from fastdice import cost
+from fastdice import core, cost
 from fastdice.cli import _PERM_ROUTES
 
 
@@ -127,6 +129,39 @@ def test_uniform_mixed_ranges_share_one_stream():
             assert state(new) == state(ref)
 
 
+def fdr_each_sizes(rng, count):
+    """count sizes mixing 1, 2, small, wide, 2**62 - 1 and 2**62."""
+    kinds = [lambda: 1, lambda: 2, lambda: rng.randint(3, 100),
+             lambda: rng.randint(1 << 40, (1 << 62) - 2),
+             lambda: (1 << 62) - 1, lambda: 1 << 62]
+    return [rng.choice(kinds)() for _ in range(count)]
+
+
+def test_fdr_each_matches_reference():
+    rng = random.Random(6)
+    for seed in range(40):
+        sizes = fdr_each_sizes(rng, rng.randint(0, 60))
+        new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        assert (core._fdr_each(new, iter(sizes))
+                == [reference_fdr_uniform(ref, n).value for n in sizes])
+        assert state(new) == state(ref)
+
+
+def test_fdr_each_bad_size_raises_like_check_range():
+    # The sizes before the bad one are drawn, as by one call per size.
+    for bad in (0, -1, 2 ** 62 + 1, 10 ** 23):
+        with pytest.raises((FastdiceError, ValueError)) as want:
+            check_range(bad)
+        new, ref = BufferedWordSource(9), BufferedWordSource(9)
+        with pytest.raises(type(want.value)) as got:
+            core._fdr_each(new, [6, 1 << 62, bad, 3])
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        reference_fdr_uniform(ref, 6)
+        reference_fdr_uniform(ref, 1 << 62)
+        assert state(new) == state(ref)
+
+
 def bernoulli_biases():
     rng = random.Random(5)
     top = 1 << 62
@@ -188,6 +223,21 @@ def test_uniform_exhaustion_matches_reference(n):
         for bits in strings(length):
             assert (outcome(lambda s: fdr_uniform(s, n), bits)
                     == outcome(lambda s: reference_fdr_uniform(s, n), bits))
+
+
+def test_fdr_each_exhaustion_matches_reference():
+    # Scripts that run out before the first size, between sizes and
+    # inside one, or that outlast the whole sequence.
+    rng = random.Random(11)
+    exhausted = 0
+    for _ in range(400):
+        sizes = fdr_each_sizes(rng, rng.randint(1, 6))
+        bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 200))]
+        got = outcome(lambda s: core._fdr_each(s, sizes), bits)
+        assert got == outcome(
+            lambda s: [reference_fdr_uniform(s, n).value for n in sizes], bits)
+        exhausted += got[0] == "exhausted" and got[2] > 0
+    assert exhausted > 50
 
 
 @pytest.mark.parametrize("p", [Rational(1, 3), Rational(2, 5),
@@ -392,8 +442,13 @@ def test_permutation_routes_match_reference(route):
     for seed in range(50):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
         for n in range(n_max + 1):
-            assert draw(new, n) == reference(ref, n)
+            got = draw(new, n)
+            assert got == reference(ref, n)
             assert state(new) == state(ref)
+            if route == "code":  # built without LehmerCode's check
+                assert type(got) is LehmerCode
+                assert type(got.digits) is tuple
+                assert got == LehmerCode(got.digits)
 
 
 def test_rank_routes_keep_their_guards():
