@@ -14,25 +14,24 @@ checks nothing but the master range.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from .bitsource import RandomBitSource
 from .core import MAX_UNIFORM_RANGE, _fdr, _split, check_range
-from .errors import Overflow
+from .errors import Overflow, _at_least
 
 
-def _checked_power(n: int, j: int) -> int:
-    """n**j for a valid batch request (see ``plan_batch``)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if j < 1:
-        raise ValueError(f"need j >= 1, got {j}")
+def _checked_power(n: int, j: int) -> tuple[int, int, int]:
+    """(n, j, n**j) as ints, for a valid batch request (see ``plan_batch``)."""
+    n = _at_least("n", n, 2)
+    j = _at_least("j", j, 1)
     check_range(n)
     if j > 62:  # n >= 2, so n**j >= 2**j > 2**62
         raise Overflow(f"{n}**{j} exceeds 2**62")
     power = n ** j
     if power > MAX_UNIFORM_RANGE:
         raise Overflow(f"{n}**{j} = {power} exceeds 2**62")
-    return power
+    return n, j, power
 
 
 class BatchPlan(namedtuple("BatchPlan", "n j n_pow_j")):
@@ -40,17 +39,22 @@ class BatchPlan(namedtuple("BatchPlan", "n j n_pow_j")):
 
     Built by ``plan_batch``; built directly, it runs the same checks and
     also requires n_pow_j == n**j, so a plan that would skew the digits
-    cannot exist.
+    cannot exist.  Every field is stored as an int.
+
+    Raises:
+        TypeError: a field is not an integer.
+        ValueError, RangeTooLarge, Overflow: as ``plan_batch``, or
+            n_pow_j != n**j.
     """
 
     __slots__ = ()
 
     def __new__(cls, n: int, j: int, n_pow_j: int):
-        power = _checked_power(n, j)
-        if n_pow_j != power:
+        n, j, power = checked = _checked_power(n, j)
+        if index(n_pow_j) != power:
             raise ValueError(f"need n_pow_j == {n}**{j} = {power}, "
                              f"got {n_pow_j}")
-        return tuple.__new__(cls, (n, j, power))
+        return tuple.__new__(cls, checked)
 
     @classmethod
     def _make(cls, iterable):  # so that _replace validates too
@@ -64,11 +68,12 @@ def plan_batch(n: int, j: int) -> BatchPlan:
     fails at once instead of building an enormous integer.
 
     Raises:
+        TypeError: n or j is not an integer.
         ValueError: n < 2 or j < 1.
         RangeTooLarge: n > 2**62 (from ``check_range``).
         Overflow: n**j > 2**62.
     """
-    return tuple.__new__(BatchPlan, (n, j, _checked_power(n, j)))
+    return tuple.__new__(BatchPlan, _checked_power(n, j))
 
 
 def auto_batch_size(n: int) -> int:
@@ -77,12 +82,12 @@ def auto_batch_size(n: int) -> int:
     n=2 gives 62, n=3 gives 39, n=2**31 gives 2.
 
     Raises:
+        TypeError: n is not an integer.
         ValueError: n < 2.
         RangeTooLarge: n > 2**62.
-        Both come from ``plan_batch(n, 1)``.
+        All come from ``plan_batch``'s checks on (n, 1).
     """
-    j = 1
-    power = plan_batch(n, 1).n_pow_j
+    n, j, power = _checked_power(n, 1)
     while power * n <= MAX_UNIFORM_RANGE:
         power *= n
         j += 1

@@ -10,8 +10,10 @@ the bias.
 
 from __future__ import annotations
 
+from operator import index
+
 from .bitsource import RandomBitSource
-from .errors import ImproperFraction
+from .errors import ImproperFraction, _at_least
 
 # Same doubling guard as the uniform sampler: the expansion state stays
 # below 2*den, which must fit comfortably in 64 bits.
@@ -19,14 +21,15 @@ MAX_DENOMINATOR = 1 << 62
 
 
 def check_denominator(den: int) -> None:
-    """Raise unless den is within the 2**62 doubling guard.
+    """Raise unless den is an integer within the 2**62 doubling guard.
 
     Reads no flip, so a caller can validate a draw before making it.
 
     Raises:
+        TypeError: den is not an integer.
         ValueError: den > 2**62.
     """
-    if den > MAX_DENOMINATOR:
+    if index(den) > MAX_DENOMINATOR:
         raise ValueError(f"denominator {den} exceeds 2**62")
 
 
@@ -37,13 +40,19 @@ class Rational:
 
     Immutable, and equal and hashed by (num, den).  A slots class, not a
     named tuple: ``bernoulli_rational`` reads num and den on every draw,
-    and a slot read costs less than a named-tuple field read.
+    and a slot read costs less than a named-tuple field read.  Both
+    fields are stored as ints, so a draw never meets a non-integer.
+
+    Raises:
+        TypeError: num or den is not an integer.
+        ValueError: den < 1, or num outside [0, den].
     """
 
     __slots__ = ("num", "den")
     __match_args__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
+        num, den = index(num), index(den)
         if den < 1:
             raise ValueError(f"denominator must be >= 1, got {den}")
         if not 0 <= num <= den:
@@ -83,12 +92,12 @@ def binary_expansion(p: Rational, count: int) -> list[int]:
     Raises:
         ImproperFraction: num >= den (the expansion needs p < 1).
         ValueError: den beyond the 2**62 doubling guard, or count < 0.
+        TypeError: count is not an integer.
     """
     if p.num >= p.den:
         raise ImproperFraction(f"{p.num}/{p.den} is not in [0, 1)")
     check_denominator(p.den)
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    count = _at_least("count", count, 0)
     v = p.num
     den = p.den
     out = []

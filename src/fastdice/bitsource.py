@@ -78,8 +78,12 @@ class RandomBitSource(ABC):
         """Return the next k >= 0 bits as one integer, first bit most
         significant; counts as k bits consumed.
 
+        k has no upper bound: a read of k bits takes ceil(k/32) words
+        from a buffered source, however large k is.
+
         Raises:
             ValueError: k < 0, before any bit is read.
+            TypeError: k is not an integer, before any bit is read.
         """
         next_bit = self.next_bit
         x = 0 << k  # a negative k raises here, as in BufferedWordSource
@@ -145,11 +149,13 @@ class BufferedWordSource(RandomBitSource):
             self._pos = pos = pos - k
             return (self._word >> pos) & mask
         # Drain the buffer, then take whole words until the last one is
-        # only partly needed.  The word count moves word by word and the
-        # buffer reads empty meanwhile, so a fetch that raises leaves the
-        # counters where k calls of next_bit would.
-        x = self._word & ((1 << pos) - 1)
+        # only partly needed; each part is shifted to its place as it is
+        # read.  The word count moves word by word and the buffer reads
+        # empty meanwhile, so a fetch that raises leaves the counters
+        # where k calls of next_bit would.
         k -= pos
+        # A non-integer k (40.0, NaN, inf) raises here, before any store.
+        x = (self._word & ((1 << pos) - 1)) << k
         self._pos = 0
         next_word = self._gen.next_word
         while True:
@@ -157,12 +163,12 @@ class BufferedWordSource(RandomBitSource):
             self._words_fetched += 1
             if k <= 32:
                 break
-            x = (x << 32) | word
             k -= 32
+            x |= word << k
         pos = 32 - k
         self._word = word
         self._pos = pos
-        return (x << k) | (word >> pos)
+        return x | (word >> pos)
 
     def bits_consumed(self) -> int:
         return 32 * self._words_fetched - self._pos - self._base

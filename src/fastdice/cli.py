@@ -60,22 +60,18 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 
 
-def _nonnegative(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo, or the error "must be >= lo"."""
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}")
+        return value
+    return parse
 
 
 def _batch_size(text: str) -> int | str:
-    return text if text == "auto" else _positive(text)
+    return text if text == "auto" else _int_at_least(1)(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,16 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniform", parents=[common],
                        help="draw uniform integers on [0, n)")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--count", type=_nonnegative, default=1)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--count", type=_int_at_least(0), default=1)
     p.add_argument("--batch", type=_batch_size, default=None, metavar="J|auto",
                    help="draw J values per master draw (count must divide)")
     p.set_defaults(func=cmd_uniform)
 
     p = sub.add_parser("perm", parents=[common],
                        help="draw uniform random permutations of {1..n}")
-    p.add_argument("--n", type=_nonnegative, required=True)
-    p.add_argument("--count", type=_nonnegative, default=1)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(0), default=1)
     p.add_argument("--method", choices=tuple(_PERM_ROUTES),
                    default="fy",
                    help="fy: randomized Fisher-Yates; unrank: one uniform "
@@ -112,25 +108,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bernoulli", parents=[common],
                        help="draw exact Bernoulli(num/den) bits")
-    p.add_argument("--num", type=_nonnegative, required=True)
-    p.add_argument("--den", type=_positive, required=True)
-    p.add_argument("--count", type=_nonnegative, default=1)
+    p.add_argument("--num", type=_int_at_least(0), required=True)
+    p.add_argument("--den", type=_int_at_least(1), required=True)
+    p.add_argument("--count", type=_int_at_least(0), default=1)
     p.set_defaults(func=cmd_bernoulli)
 
     p = sub.add_parser("cost", parents=[common],
                        help="CSV table of exact, toll, and asymptotic costs")
-    p.add_argument("--n-min", type=_positive, required=True)
-    p.add_argument("--n-max", type=_positive, required=True)
-    p.add_argument("--asymptotic", type=_positive, default=12, metavar="K",
+    p.add_argument("--n-min", type=_int_at_least(1), required=True)
+    p.add_argument("--n-max", type=_int_at_least(1), required=True)
+    p.add_argument("--asymptotic", type=_int_at_least(1), default=12,
+                   metavar="K",
                    help="Fourier terms in the fluctuation (default 12)")
-    p.add_argument("--batch", type=_positive, default=None, metavar="J",
+    p.add_argument("--batch", type=_int_at_least(1), default=None, metavar="J",
                    help="append a u_batch column with batch_cost(n, J)")
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("bench", parents=[common],
                        help="measure bits per variate against theory")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--count", type=_positive, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--batch", type=_batch_size, default=None, metavar="J|auto",
                    help="draw J values per master draw (count must divide)")
     p.set_defaults(func=cmd_bench)

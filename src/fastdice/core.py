@@ -33,6 +33,17 @@ on ``_fdr``.
 ``_split`` writes an integer in a mixed radix, most significant digit
 first.  It turns one master draw into many values: a batch's base-n
 digits, a rank's factorial-base Lehmer code.
+
+A size must be an integer: an int, or anything with ``__index__``.
+``check_range`` refuses anything else with ``TypeError`` through
+``errors._at_least`` and returns the int it checked.  ``_fdr`` adds no
+type test to its path.  A non-int n trips its entry before any flip is
+read: 6.0 passes the range comparison but has no ``bit_length``, NaN
+fails the comparison and ``check_range``, a string cannot be compared.
+``_fdr`` then re-enters with ``check_range(n)``, which either raises
+``TypeError`` or hands over the int, so an ``__index__`` integer draws
+exactly like its int value.  ``_fdr_each`` has no such entry: its
+callers pass sizes derived from an int they have already checked.
 """
 
 from __future__ import annotations
@@ -40,26 +51,28 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitsource import RandomBitSource
-from .errors import EmptyRange, RangeTooLarge
+from .errors import EmptyRange, RangeTooLarge, _at_least
 
 # Doubling can momentarily hold v < 2n, so n itself must stay one doubling
 # short of the 63-bit line to keep every intermediate inside 64 bits.
 MAX_UNIFORM_RANGE = 1 << 62
 
 
-def check_range(n: int) -> None:
-    """Raise unless 1 <= n <= 2**62, the ranges ``fdr_uniform`` draws from.
+def check_range(n: int) -> int:
+    """Raise unless n is an integer with 1 <= n <= 2**62, the ranges
+    ``fdr_uniform`` draws from; return n as an int.
 
     Reads no flip, so a caller can validate a draw before making it.
 
     Raises:
+        TypeError: n is not an integer (has no ``__index__``).
         ValueError: n < 1.
         RangeTooLarge: n > 2**62.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _at_least("n", n, 1)
     if n > MAX_UNIFORM_RANGE:
         raise RangeTooLarge(f"n={n} exceeds 2**62")
+    return n
 
 
 class FdrOutcome(NamedTuple):
@@ -82,9 +95,10 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
         with value 0 and zero bits consumed.
 
     Raises:
+        TypeError: n is not an integer.
         ValueError: n < 1.
         RangeTooLarge: n > 2**62.
-        Both come from ``check_range`` before any flip is read.
+        All come from ``check_range`` before any flip is read.
     """
     # tuple.__new__ skips the Python-level FdrOutcome.__new__ frame.
     return tuple.__new__(FdrOutcome, _fdr(source, n))
@@ -92,12 +106,15 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
 
 def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
     """``fdr_uniform`` as a plain (value, bits_used) tuple."""
-    if not 1 < n <= MAX_UNIFORM_RANGE:  # one comparison on the hot path
-        check_range(n)
-        return 0, 0
+    try:
+        if not 1 < n <= MAX_UNIFORM_RANGE:  # one comparison on the hot path
+            check_range(n)
+            return 0, 0
+        width = (n - 1).bit_length()
+    except (AttributeError, TypeError):  # not an int: its index, or refuse
+        return _fdr(source, check_range(n))
 
     next_bits = source.next_bits
-    width = (n - 1).bit_length()
     bits = width
     v = 1 << width  # size of the range c is uniform on; n <= v < 2n
     c = next_bits(width)
@@ -169,6 +186,7 @@ def fdr_uniform_range(source: RandomBitSource, lo: int, hi: int) -> int:
     Raises:
         EmptyRange: lo > hi.
         RangeTooLarge: hi - lo + 1 > 2**62.
+        TypeError: hi - lo + 1 is not an integer.
     """
     if lo > hi:
         raise EmptyRange(f"empty range [{lo}, {hi}]")

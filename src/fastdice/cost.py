@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .batch import plan_batch
 from .bernoulli import Rational
-from .errors import PoleAtOne
+from .errors import PoleAtOne, _at_least
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -160,9 +160,12 @@ def exact_cost_rational(n: int) -> Fraction:
     Runtime and result size grow with the multiplicative order of
     2 mod the odd part of n (worst case about n); use exact_cost when a
     double is enough.
+
+    Raises:
+        TypeError: n is not an integer.
+        ValueError: n < 1.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    n = _at_least("n", n, 1)
     return _series_exact(1 % n, n, 1)
 
 
@@ -172,11 +175,13 @@ def cost_partial_sum(n: int, terms: int) -> Fraction:
 
     Summed in closed form by _horner, like the float route; it differs
     from the true value by less than n * 2**(1-terms).
+
+    Raises:
+        TypeError: n or terms is not an integer.
+        ValueError: n < 1 or terms < 1.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if terms < 1:
-        raise ValueError("need at least one term")
+    n = _at_least("n", n, 1)
+    terms = _at_least("terms", terms, 1)
     return Fraction(_horner(1 % n, n, terms), 1 << (terms - 1))
 
 
@@ -187,10 +192,12 @@ def exact_cost(n: int) -> float:
     correctly rounded).  The series is summed to about
     m.bit_length() + 72 terms and certified against its tail bound, so
     the time depends on the bit length of n, not on the period of 2 mod m.
+
+    Raises:
+        TypeError: n is not an integer.
+        ValueError: n < 1.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    a, m = _split_power_of_two(n)
+    a, m = _split_power_of_two(_at_least("n", n, 1))
     if m == 1:
         return float(a)
     return a + _series_double(1, m, 1, m.bit_length() + 72)
@@ -210,6 +217,7 @@ def batch_cost(n: int, j: int) -> float:
     Equals u(n**j)/j, which sits within 2/j bits of log2(n).
 
     Raises:
+        TypeError: n or j is not an integer.
         ValueError: n < 2 or j < 1.
         Overflow: n**j > 2**62 (the sampler could not run the batch).
     """
@@ -344,10 +352,11 @@ def _fourier_coefficients(k_terms: int) -> tuple[complex, ...]:
 
     Evaluated from k = k_terms down: the remainder bound grows with
     tau_k, so a k_terms that cannot be certified fails on the first
-    zeta evaluation instead of after k_terms - 1 good ones.
+    zeta evaluation instead of after k_terms - 1 good ones.  k_terms
+    must be an integer >= 1: zero terms would drop the fluctuation.
     """
     out = []
-    for k in range(k_terms, 0, -1):
+    for k in range(_at_least("k_terms", k_terms, 1), 0, -1):
         s = complex(1.0, 2.0 * math.pi * k / LN2)
         out.append(zeta_complex(s, 1e-13) / s)
     return tuple(reversed(out))
@@ -370,6 +379,10 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     its conjugate, so each pair contributes the real combination
     2*(Re c_k * cos + Im c_k * sin) and the total is real by
     construction.  Since k is an integer, only frac(log2n) matters.
+
+    Raises:
+        TypeError: k_terms is not an integer.
+        ValueError: k_terms < 1, or too large to certify.
     """
     frac = log2n % 1.0
     total = 0.0
@@ -386,11 +399,13 @@ def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
     Good uniformly in n except at the sawtooth jumps (powers of two),
     where a truncated Fourier series necessarily lands near the jump
     midpoint instead of the exact toll 0.
+
+    Raises:
+        TypeError: n or params.k_terms is not an integer.
+        ValueError: n < 2, or params.k_terms < 1 or too large to certify.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    log2n = math.log2(_at_least("n", n, 2))
     params = params or _DEFAULT_PARAMS
-    log2n = math.log2(n)
     return log2n + params.constant + periodic_fluctuation(log2n, params.k_terms)
 
 

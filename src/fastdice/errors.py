@@ -1,4 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer guard.
+
+Every layer imports this module, so the rule "this argument is an
+integer >= k" lives here once, in ``_at_least``: the range, size, count
+and term checks of ``core``, ``batch``, ``bernoulli``, ``permutation``
+and ``cost`` all go through it.  An integer means anything with
+``__index__``; anything else (a float, NaN, a ``Fraction``, a
+``Decimal``, a string) raises ``TypeError`` from ``operator.index``
+before any flip is read.
+"""
+
+from operator import index
+
+
+def _at_least(name: str, value, lo: int) -> int:
+    """``value`` as an int, if it is an integer >= lo.
+
+    Raises:
+        TypeError: value has no ``__index__``.
+        ValueError: value < lo, as ``need {name} >= {lo}, got {value}``.
+    """
+    value = index(value)
+    if value < lo:
+        raise ValueError(f"need {name} >= {lo}, got {value}")
+    return value
 
 
 class FastdiceError(Exception):

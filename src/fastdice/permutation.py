@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from operator import index
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
 from .core import _fdr, _fdr_each, _split, check_range
-from .errors import DigitOutOfRange, FactorialOverflow, RankOutOfRange
+from .errors import (DigitOutOfRange, FactorialOverflow, RankOutOfRange,
+                     _at_least)
 
 # 20! = 2432902008176640000 < 2**62 < 21!; larger sizes would push the
 # rank draw past the uniform sampler's doubling guard.
@@ -42,17 +44,17 @@ MAX_UNRANK_SIZE = 20
 
 
 def check_unrank_size(n: int) -> None:
-    """Raise unless 0 <= n <= 20, the sizes whose rank below n! can be drawn.
+    """Raise unless n is an integer with 0 <= n <= 20, the sizes whose
+    rank below n! can be drawn.
 
     Reads no flip, so a caller can validate a draw before making it.
 
     Raises:
+        TypeError: n is not an integer.
         ValueError: n < 0.
         FactorialOverflow: n > 20.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n > MAX_UNRANK_SIZE:
+    if _at_least("n", n, 0) > MAX_UNRANK_SIZE:
         raise FactorialOverflow(
             f"{n}! exceeds the 64-bit working range (cap is n = 20)")
 
@@ -61,12 +63,18 @@ class LehmerCode(namedtuple("LehmerCode", "digits")):
     """Factorial-base digits (X_n, ..., X_1), highest position first.
 
     digits[idx] is the digit of positional size n - idx, so it must lie
-    in [0, n - idx).  The last digit is forced to 0.
+    in [0, n - idx).  The last digit is forced to 0.  The digits are
+    stored as a tuple of ints.
+
+    Raises:
+        TypeError: a digit is not an integer.
+        DigitOutOfRange: a digit outside [0, n - idx).
     """
 
     __slots__ = ()
 
     def __new__(cls, digits: tuple[int, ...]):
+        digits = tuple(map(index, digits))
         n = len(digits)
         for idx, d in enumerate(digits):
             if not 0 <= d < n - idx:
@@ -84,14 +92,22 @@ class LehmerCode(namedtuple("LehmerCode", "digits")):
 
 
 class Rank(namedtuple("Rank", "value n")):
-    """A permutation rank: an integer in [0, n!)."""
+    """A permutation rank: an integer in [0, n!).
+
+    Raises:
+        TypeError: value or n is not an integer.
+        ValueError: n < 0 (checked before the value).
+        RankOutOfRange: value outside [0, n!).
+    """
 
     __slots__ = ()
 
     def __new__(cls, value: int, n: int):
-        if n < 0:
-            raise ValueError(f"need n >= 0, got {n}")
-        if not 0 <= value < math.factorial(n):
+        n = _at_least("n", n, 0)
+        value = index(value)
+        # n! >= 2**(n-1), so n! is taken only when n <= value.bit_length():
+        # Rank(0, 10**23) must not compute 10**23!.
+        if value < 0 or value.bit_length() >= n and value >= math.factorial(n):
             raise RankOutOfRange(f"rank {value} outside [0, {n}!)")
         return tuple.__new__(cls, (value, n))
 
@@ -107,7 +123,7 @@ def factorial_decompose(rank: Rank) -> LehmerCode:
     from the lowest position up; the digit bounds make the representation
     unique.
     """
-    return LehmerCode(tuple(_split(rank.value, range(rank.n, 0, -1))))
+    return LehmerCode(_split(rank.value, range(rank.n, 0, -1)))
 
 
 def factorial_compose(code: LehmerCode) -> Rank:
@@ -157,12 +173,12 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     saves a call and no flip.
 
     Raises:
+        TypeError: n is not an integer.
         ValueError: n < 0.
         RangeTooLarge: n > 2**62 (from ``check_range``), before the
             list of n values is built.
     """
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+    n = _at_least("n", n, 0)
     check_range(n or 1)  # n = 0 is the empty permutation
     # The list comes first, so an n too large for memory fails before
     # any flip is read rather than after drawing its offsets.
@@ -184,9 +200,10 @@ def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
     so any permutation it maps to) as one object.
 
     Raises:
+        TypeError: n is not an integer.
         ValueError: n < 0.
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
-        Both come from ``check_unrank_size``.
+        All come from ``check_unrank_size``.
     """
     # The digits of a rank below n! are in range: skip LehmerCode's check.
     return tuple.__new__(LehmerCode, (tuple(_rank_digits(source, n)),))
@@ -201,12 +218,13 @@ def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
     permutation as one object.
 
     Raises:
+        TypeError: n is not an integer.
         ValueError: n < 0.
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
-        Both come from ``check_unrank_size``.
+        All come from ``check_unrank_size``.
     """
     digits = _rank_digits(source, n)  # checks n before the list is built
-    return _swaps(list(range(1, n + 1)), digits)
+    return _swaps(list(range(1, len(digits) + 1)), digits)
 
 
 def inversion_count(perm: Sequence[int]) -> int:

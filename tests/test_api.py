@@ -109,6 +109,9 @@ def test_rational_is_a_record_not_a_tuple():
         Rational(1, 3).extra = 0
 
 
+NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Rational(1, 0), ValueError, "denominator must be >= 1, got 0"),
     (lambda: Rational(5, 4), ValueError, "need 0 <= num <= den, got 5/4"),
@@ -128,6 +131,17 @@ def test_rational_is_a_record_not_a_tuple():
      "need n_pow_j == 6**2 = 36, got 5"),
     (lambda: plan_batch(6, 2)._replace(j=3), ValueError,
      "need n_pow_j == 6**3 = 216, got 36"),
+    # Every field is an integer: anything else fails when it is built.
+    pytest.param(lambda: Rational(1, 6.0), TypeError, NOT_AN_INT % "float",
+                 id="Rational-float"),
+    pytest.param(lambda: Rank(2.5, 3), TypeError, NOT_AN_INT % "float",
+                 id="Rank-float"),
+    pytest.param(lambda: LehmerCode((1.5, 0)), TypeError,
+                 NOT_AN_INT % "float", id="LehmerCode-float"),
+    pytest.param(lambda: BatchPlan(3.0, 2, 9), TypeError,
+                 NOT_AN_INT % "float", id="BatchPlan-float"),
+    pytest.param(lambda: Rank(-1, -1), ValueError, "need n >= 0, got -1",
+                 id="Rank-n-before-value"),
 ])
 def test_value_class_validation(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

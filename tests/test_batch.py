@@ -1,5 +1,6 @@
 import time
 
+import numpy
 import pytest
 
 from fastdice import (BatchPlan, BufferedWordSource, FastdiceError, Overflow,
@@ -49,8 +50,8 @@ def test_batch_plan_is_validated_when_built():
     with pytest.raises(ValueError, match=r"^need n_pow_j == 6\*\*2 = 36"):
         plan_batch(6, 2)._replace(n_pow_j=5)
     for n, j in [(1, 3), (3, 0), (2 ** 62 + 1, 1), (10, 19), (2, 63),
-                 (3, 10 ** 7)]:
-        with pytest.raises((ValueError, FastdiceError)) as want:
+                 (3, 10 ** 7), (6.0, 2), (6, 2.0)]:
+        with pytest.raises((ValueError, FastdiceError, TypeError)) as want:
             plan_batch(n, j)
         with pytest.raises(type(want.value)) as got:
             BatchPlan(n, j, 36)
@@ -58,6 +59,13 @@ def test_batch_plan_is_validated_when_built():
         assert str(got.value) == str(want.value)
     assert BatchPlan(6, 2, 36) == plan_batch(6, 2) == (6, 2, 36)
     assert type(plan_batch(6, 2)) is BatchPlan
+    # __index__ integers are stored as ints; a float n_pow_j is refused.
+    for plan in (plan_batch(numpy.int64(6), numpy.int64(2)),
+                 BatchPlan(numpy.int64(6), 2, numpy.int64(36))):
+        assert plan == (6, 2, 36)
+        assert [type(field) for field in plan] == [int, int, int]
+    with pytest.raises(TypeError):
+        BatchPlan(6, 2, 36.0)
 
 
 def test_auto_batch_size():
@@ -65,8 +73,11 @@ def test_auto_batch_size():
     assert auto_batch_size(2) == 62
     assert auto_batch_size(1 << 31) == 2
     assert auto_batch_size(10) == 18
+    assert auto_batch_size(numpy.int64(3)) == 39  # no int64 wraparound
     with pytest.raises(ValueError):
         auto_batch_size(1)
+    with pytest.raises(TypeError):
+        auto_batch_size(3.5)
     for n in (2 ** 62 + 1, 10 ** 23):
         with pytest.raises(RangeTooLarge) as got:
             auto_batch_size(n)

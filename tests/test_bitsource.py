@@ -243,8 +243,9 @@ def test_negative_width_raises_and_changes_nothing(make, before):
     src, ref = make(), make()
     src.next_bits(before)
     ref.next_bits(before)
-    for k in (-1, -3, -40):
-        with pytest.raises(ValueError):
+    for k, error in ((-1, ValueError), (-3, ValueError), (-40, ValueError),
+                     (40.0, TypeError)):
+        with pytest.raises(error):
             src.next_bits(k)
     assert _state(src) == _state(ref)
 

@@ -344,6 +344,13 @@ def test_asymptotic_jump_midpoint():
 def test_asymptotic_validation():
     with pytest.raises(ValueError):
         asymptotic_cost(1)
+    with pytest.raises(TypeError):
+        asymptotic_cost(2.5)
+    # zero terms would silently drop the fluctuation
+    for k_terms, error in ((0, ValueError), (-3, ValueError),
+                           (6.0, TypeError)):
+        with pytest.raises(error):
+            asymptotic_cost(10, AsymptoticParams(k_terms=k_terms))
 
 
 def test_fourier_coefficients_decay():

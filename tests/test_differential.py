@@ -26,6 +26,7 @@ ranks and leave the source in the same state.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -108,12 +109,42 @@ def ranges():
     return sorted(out)
 
 
-@pytest.mark.parametrize("n", ranges())
+class Index:
+    """An integer by ``__index__`` alone: it neither compares nor
+    subtracts."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.value})"
+
+
+class Int64Like(Index):
+    """Compares and subtracts like ``numpy.int64``, which has no
+    ``bit_length``."""
+
+    def __gt__(self, other):
+        return self.value > other
+
+    def __le__(self, other):
+        return self.value <= other
+
+    def __sub__(self, other):
+        return Int64Like(self.value - other)
+
+
+@pytest.mark.parametrize("n", ranges() + [Index(6), Int64Like(6)])
 def test_uniform_matches_reference(n):
+    # An __index__ integer draws exactly like its int value.
     for seed in range(8):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
         for _ in range(6):
-            assert fdr_uniform(new, n) == reference_fdr_uniform(ref, n)
+            assert (fdr_uniform(new, n)
+                    == reference_fdr_uniform(ref, operator.index(n)))
             assert state(new) == state(ref)
 
 
@@ -454,21 +485,24 @@ def test_permutation_routes_match_reference(route):
 def test_rank_routes_keep_their_guards():
     # Each check raises what the draws it guards raise, with the same
     # message, before a single flip: fisher_yates before it builds its
-    # list, the rank routes like the reference unranking.
+    # list, the rank routes like the reference unranking.  A non-integer
+    # raises TypeError, NaN included.
     def bernoulli(source, den):
         return bernoulli_rational(source, Rational(1, den))
 
+    non_ints = (6.0, math.nan, Fraction(6))
     guards = [
-        (check_unrank_size, (21, -1), (reference_random_permutation_unranked,
-                                       random_permutation_unranked,
-                                       random_lehmer_code)),
-        (check_range, (0, -1, 2 ** 62 + 1, 10 ** 23), (fdr_uniform,)),
-        (check_range, (2 ** 62 + 1, 2 ** 64), (fisher_yates,)),
-        (check_denominator, (2 ** 62 + 1, 10 ** 23), (bernoulli,)),
+        (check_unrank_size, (21, -1) + non_ints,
+         (reference_random_permutation_unranked, random_permutation_unranked,
+          random_lehmer_code)),
+        (check_range, (0, -1, 2 ** 62 + 1, 10 ** 23) + non_ints,
+         (fdr_uniform,)),
+        (check_range, (2 ** 62 + 1, 2 ** 64) + non_ints, (fisher_yates,)),
+        (check_denominator, (2 ** 62 + 1, 10 ** 23) + non_ints, (bernoulli,)),
     ]
     for check, bads, draws in guards:
         for bad in bads:
-            with pytest.raises((FastdiceError, ValueError)) as want:
+            with pytest.raises((FastdiceError, ValueError, TypeError)) as want:
                 check(bad)
             for draw in draws:
                 source = ScriptedBitSource([])
