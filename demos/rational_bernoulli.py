@@ -2,8 +2,8 @@
 
 The trick: flip until the first heads; that position picks a bit of the
 binary expansion of p, and that bit is the answer.  Bias lands exactly
-on p, and the expansion of any rational repeats, so the sampler keeps
-only O(1) state.
+on p.  Bit t of p is floor(p * 2**t) mod 2, so the sampler keeps only
+the count of flips.
 """
 
 from fastdice import (BufferedWordSource, Rational, bernoulli_rational,

@@ -6,6 +6,10 @@ with the expansion bit at the stopping index.  Position t is reached with
 probability 2**-t, and summing 2**-t over the positions whose expansion
 bit is 1 gives back exactly k/n.  Expected flips per draw: 2, whatever
 the bias.
+
+The expansion is read in closed form, never digit by digit: the first t
+bits of k/n are the integer floor(k * 2**t / n), so bit t is that integer
+mod 2 (the same digits ``cost._horner`` reads).
 """
 
 from __future__ import annotations
@@ -13,15 +17,16 @@ from __future__ import annotations
 from operator import index
 
 from .bitsource import RandomBitSource
+from .core import MAX_UNIFORM_RANGE
 from .errors import ImproperFraction, _at_least
 
-# Same doubling guard as the uniform sampler: the expansion state stays
-# below 2*den, which must fit comfortably in 64 bits.
-MAX_DENOMINATOR = 1 << 62
+# The uniform sampler's 2**62 limit, kept as spec: the closed form holds
+# no expansion state that needs bounding.
+MAX_DENOMINATOR = MAX_UNIFORM_RANGE
 
 
 def check_denominator(den: int) -> None:
-    """Raise unless den is an integer within the 2**62 doubling guard.
+    """Raise unless den is an integer within the 2**62 limit.
 
     Reads no flip, so a caller can validate a draw before making it.
 
@@ -85,55 +90,43 @@ class Rational:
 def binary_expansion(p: Rational, count: int) -> list[int]:
     """First `count` bits after the binary point of p in [0, 1).
 
-    Long division by doubling: v starts at num; each step doubles v,
-    emits whether it reached den, and reduces when it did.  For odd den
-    the stream is purely periodic with period ord_den(2).
+    They are the `count` binary digits of floor(num * 2**count / den),
+    zero-padded on the left.  For odd den the stream is purely periodic
+    with period ord_den(2).
 
     Raises:
         ImproperFraction: num >= den (the expansion needs p < 1).
-        ValueError: den beyond the 2**62 doubling guard, or count < 0.
+        ValueError: den beyond the 2**62 limit, or count < 0.
         TypeError: count is not an integer.
     """
     if p.num >= p.den:
         raise ImproperFraction(f"{p.num}/{p.den} is not in [0, 1)")
     check_denominator(p.den)
     count = _at_least("count", count, 0)
-    v = p.num
-    den = p.den
-    out = []
-    for _ in range(count):
-        v <<= 1
-        if v >= den:
-            v -= den
-            out.append(1)
-        else:
-            out.append(0)
-    return out
+    # The leading 1 pads the digits to exactly count; [3:] drops "0b1".
+    return list(map(int, bin(1 << count | (p.num << count) // p.den)[3:]))
 
 
 def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     """Return 1 with probability exactly p.num/p.den.
 
-    Consumes one flip per expansion bit inspected; the flip stream decides
-    the stopping position and never mixes with the expansion values.
-    Degenerate biases 0 and 1 return immediately with zero flips.
+    Reads flips up to and including the first 1; if that is flip t, the
+    answer is bit t of num/den, floor(num * 2**t / den) mod 2.  The flip
+    stream decides the stopping position and never mixes with the
+    expansion values.  Degenerate biases 0 and 1 return immediately with
+    zero flips.
 
     Raises:
-        ValueError: den beyond the 2**62 doubling guard (from
+        ValueError: den beyond the 2**62 limit (from
             ``check_denominator``).
     """
-    if not 0 < p.num < p.den <= MAX_DENOMINATOR:  # one comparison per draw
-        check_denominator(p.den)
-        return int(p.num == p.den)  # bias 0 or 1
-    v = p.num
+    num = p.num
     den = p.den
+    if not 0 < num < den <= MAX_DENOMINATOR:  # one comparison per draw
+        check_denominator(den)
+        return int(num == den)  # bias 0 or 1
     next_bit = source.next_bit
-    while True:
-        v <<= 1
-        if v >= den:
-            v -= den
-            b = 1
-        else:
-            b = 0
-        if next_bit():
-            return b
+    t = 1
+    while not next_bit():
+        t += 1
+    return (num << t) // den & 1

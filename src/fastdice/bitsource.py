@@ -188,13 +188,15 @@ class ScriptedBitSource(RandomBitSource):
     runs past the end consumes every bit left before it raises.  After
     ScriptExhausted, ``remaining`` is 0, ``bits_consumed`` has counted the
     whole rest of the script, and the message names the script's full
-    length, whichever method read.
+    length, whichever method read.  Like ``BufferedWordSource``, it keeps
+    no bit counter: ``bits_consumed`` is the replay cursor less its value
+    at the last ``reset_bit_count``.
     """
 
     def __init__(self, bits: Iterable[int]):
         self._bits = [b & 1 for b in bits]
         self._next = 0
-        self._count = 0
+        self._base = 0  # the cursor at the last reset
 
     def next_bit(self) -> int:
         if self._next >= len(self._bits):
@@ -202,15 +204,14 @@ class ScriptedBitSource(RandomBitSource):
                 f"bit script exhausted after {self._next} bits")
         b = self._bits[self._next]
         self._next += 1
-        self._count += 1
         return b
 
     def bits_consumed(self) -> int:
-        return self._count
+        return self._next - self._base
 
     def reset_bit_count(self) -> None:
-        # Resets the counter only; the replay cursor never rewinds.
-        self._count = 0
+        # Moves the base only; the replay cursor never rewinds.
+        self._base = self._next
 
     @property
     def remaining(self) -> int:

@@ -167,8 +167,7 @@ def _print_draws(args: argparse.Namespace, column: str | None,
     """
     if column is not None and args.format == "csv":
         print(column)
-    for line in lines:
-        print(line)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
     print(f"# bits={source.bits_consumed()} calls={calls}")
     return 0
 

@@ -48,6 +48,7 @@ callers pass sizes derived from an int they have already checked.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitsource import RandomBitSource
@@ -184,10 +185,11 @@ def fdr_uniform_range(source: RandomBitSource, lo: int, hi: int) -> int:
     """Draw uniformly from the inclusive integer range [lo, hi].
 
     Raises:
+        TypeError: lo or hi is not an integer, before any flip.
         EmptyRange: lo > hi.
         RangeTooLarge: hi - lo + 1 > 2**62.
-        TypeError: hi - lo + 1 is not an integer.
     """
+    lo, hi = index(lo), index(hi)
     if lo > hi:
         raise EmptyRange(f"empty range [{lo}, {hi}]")
     return lo + _fdr(source, hi - lo + 1)[0]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -296,11 +297,13 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
     larger N, e.g. to check one truncation against another.
 
     Raises:
+        TypeError: min_direct_terms is not an integer.
         PoleAtOne: s = 1.
-        ValueError: Re(s) <= 0, min_direct_terms above 6400, or
+        ValueError: min_direct_terms < 0 or above 6400, Re(s) <= 0, or
             target_error unreachable in doubles.
     """
     s = complex(s)
+    min_direct_terms = _at_least("min_direct_terms", min_direct_terms, 0)
     if s == 1:
         raise PoleAtOne("zeta has its pole at s = 1")
     if s.real <= 0:
@@ -330,11 +333,23 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
     return total
 
 
-class AsymptoticParams(NamedTuple):
-    """Parameters of the smooth approximation to u(n)."""
+class AsymptoticParams(namedtuple("AsymptoticParams", "k_terms gamma")):
+    """Parameters of the smooth approximation to u(n).  k_terms is
+    stored as an int.
 
-    k_terms: int = 12
-    gamma: float = EULER_GAMMA
+    Raises:
+        TypeError: k_terms is not an integer.
+        ValueError: k_terms < 1.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, k_terms: int = 12, gamma: float = EULER_GAMMA):
+        return tuple.__new__(cls, (_at_least("k_terms", k_terms, 1), gamma))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def constant(self) -> float:
@@ -401,8 +416,8 @@ def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
     midpoint instead of the exact toll 0.
 
     Raises:
-        TypeError: n or params.k_terms is not an integer.
-        ValueError: n < 2, or params.k_terms < 1 or too large to certify.
+        TypeError: n is not an integer.
+        ValueError: n < 2, or params.k_terms too large to certify.
     """
     log2n = math.log2(_at_least("n", n, 2))
     params = params or _DEFAULT_PARAMS

@@ -142,6 +142,12 @@ NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
                  NOT_AN_INT % "float", id="BatchPlan-float"),
     pytest.param(lambda: Rank(-1, -1), ValueError, "need n >= 0, got -1",
                  id="Rank-n-before-value"),
+    pytest.param(lambda: AsymptoticParams(k_terms=6.0), TypeError,
+                 NOT_AN_INT % "float", id="AsymptoticParams-float"),
+    pytest.param(lambda: AsymptoticParams(0), ValueError,
+                 "need k_terms >= 1, got 0", id="AsymptoticParams-zero"),
+    pytest.param(lambda: AsymptoticParams()._replace(k_terms=0), ValueError,
+                 "need k_terms >= 1, got 0", id="AsymptoticParams-replace"),
 ])
 def test_value_class_validation(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -51,13 +51,20 @@ def test_expansion_periodicity_odd_denominators():
 
 
 def test_expansion_matches_fraction_arithmetic():
-    # emitted bits reconstruct p to within 2^-count
-    for num, den in [(1, 5), (2, 7), (3, 11), (7, 16), (1, 3)]:
-        bits = binary_expansion(Rational(num, den), 40)
+    # emitted bits reconstruct p to within 2^-count, at depths past any
+    # machine word and with the largest denominators allowed
+    top = 1 << 62
+    cases = [(1, 5, 40), (2, 7, 40), (3, 11, 40), (7, 16, 40), (1, 3, 40),
+             (1, 3, 0), (top // 3, top - 1, 200), (top - 2, top - 1, 200),
+             (top // 3, top, 200), (top - 1, top, 200)]
+    for num, den, count in cases:
+        bits = binary_expansion(Rational(num, den), count)
+        assert len(bits) == count and set(bits) <= {0, 1}
         acc = Fraction(0)
         for i, b in enumerate(bits, start=1):
             acc += Fraction(b, 2 ** i)
-        assert 0 <= Fraction(num, den) - acc < Fraction(1, 2 ** 40)
+        assert 0 <= Fraction(num, den) - acc < Fraction(1, 2 ** count)
+    assert binary_expansion(Rational(0, 1), 0) == []
 
 
 def test_trace_half():

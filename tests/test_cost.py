@@ -292,6 +292,12 @@ def test_zeta_names_the_direct_terms_limit():
         pytest.approx(math.pi ** 2 / 6, abs=1e-12)
     with pytest.raises(ValueError, match="min_direct_terms <= 6400"):
         zeta_complex(2, 1e-12, min_direct_terms=6401)
+    # NaN fails every comparison, so it must be refused by type, not by
+    # the bound it would never meet
+    with pytest.raises(TypeError):
+        zeta_complex(2 + 1j, 1e-12, math.nan)
+    with pytest.raises(TypeError):
+        zeta_complex(2 + 1j, 1e-12, 6.5)
 
 
 # ------------------------------------------------------------ asymptotic

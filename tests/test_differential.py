@@ -216,6 +216,17 @@ def test_bernoulli_matches_reference(p):
             assert state(new) == state(ref)
 
 
+@pytest.mark.parametrize("t", [1, 2, 31, 32, 33, 62, 63, 64, 65, 100, 200])
+def test_bernoulli_deep_stops_match_reference(t):
+    # Seeded draws almost never stop past t = 20; the script 0^(t-1) 1
+    # stops at t, and past t = 2 num * 2**t no longer fits 64 bits.
+    bits = [0] * (t - 1) + [1]
+    for p in bernoulli_biases():
+        new, ref = ScriptedBitSource(bits), ScriptedBitSource(bits)
+        assert bernoulli_rational(new, p) == reference_bernoulli(ref, p)
+        assert new.bits_consumed() == ref.bits_consumed()
+
+
 def test_default_fast_paths_draw_identically():
     # Only next_bit defined: the defaults must reproduce the native reads.
     rng = random.Random(3)

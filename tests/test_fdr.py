@@ -48,6 +48,9 @@ def test_range_wrapper():
     assert fdr_uniform_range(ScriptedBitSource([0, 1]), 10, 13) == 11
     with pytest.raises(EmptyRange):
         fdr_uniform_range(ScriptedBitSource([]), 5, 4)
+    # the bounds' type is checked before they are compared
+    with pytest.raises(TypeError):
+        fdr_uniform_range(ScriptedBitSource([]), 6.5, 3)
 
 
 def enumerate_masses(n, depth):
