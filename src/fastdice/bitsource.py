@@ -10,10 +10,17 @@ counter is derived, not kept: the bits served are 32 per word fetched
 less the bits still unread in the buffer, so a read updates no counter
 beyond the buffer position (and the word count, once per fetched word).
 A scripted source replays a fixed bit list for tests and worked traces.
+
+The default word generator, ``SplitMix64Words``, computes four words per
+refill, in 128-bit lanes of one integer.  The stream, ``words_fetched``
+and ``bits_consumed`` are those of one word at a time: the buffered
+source counts the words it is served, and the up to three words
+computed ahead are counted nowhere.
 """
 
 from __future__ import annotations
 
+import struct
 from abc import ABC, abstractmethod
 from typing import Iterable, Protocol
 
@@ -28,6 +35,19 @@ class WordGenerator(Protocol):
     def next_word(self) -> int: ...
 
 
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's Weyl increment
+
+# Lane i of a refill is bits 128*i .. 128*i+127 of one integer, with its
+# 64-bit value in the low half.  A 64x64-bit product fits in its lane,
+# so masking every round with _LANE_MASK keeps the lanes apart.
+_LANES = 4
+_LANE_MASK = sum(_MASK64 << 128 * i for i in range(_LANES))
+_LANE_STEP = sum(((_LANES * _GAMMA) & _MASK64) << 128 * i
+                 for i in range(_LANES))
+# The words are bits 32..63 of each lane: bytes 4-7 of its 16.
+_LANE_WORDS = struct.Struct("<" + "4xI8x" * _LANES).unpack
+
+
 class SplitMix64Words:
     """Deterministic 32-bit word generator seeded by a 64-bit integer.
 
@@ -35,16 +55,36 @@ class SplitMix64Words:
     rounds.  Each 64-bit output is split here to its top 32 bits, which is
     the better-mixed half.  Any seeded generator of uniform 32-bit words
     could be swapped in; this one is tiny and has no global state.
+
+    One refill computes the next four outputs side by side, at about the
+    cost of two computed one at a time, and serves them from a tuple.
+    The state is plain ints and that tuple, so ``copy``, ``deepcopy``
+    and ``pickle`` give independent generators.
     """
 
     def __init__(self, seed: int = 0):
-        self._state = seed & _MASK64
+        state = seed & _MASK64
+        # Lane i: the Weyl state i + 1 steps on, word i of the next refill.
+        self._lanes = sum(((state + (i + 1) * _GAMMA) & _MASK64) << 128 * i
+                          for i in range(_LANES))
+        self._words: tuple[int, ...] = ()
+        self._next = _LANES  # index of the next word to serve
 
     def next_word(self) -> int:
-        self._state = z = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return (z ^ (z >> 31)) >> 32
+        i = self._next
+        if i < _LANES:
+            self._next = i + 1
+            return self._words[i]
+        z = self._lanes
+        self._lanes = (z + _LANE_STEP) & _LANE_MASK
+        z = ((z ^ (z >> 30) & _LANE_MASK) * 0xBF58476D1CE4E5B9) & _LANE_MASK
+        z = ((z ^ (z >> 27) & _LANE_MASK) * 0x94D049BB133111EB) & _LANE_MASK
+        # z >> 31 carries only into the lanes' high halves, which no word
+        # reads, so the last round needs no mask.
+        self._words = words = _LANE_WORDS(
+            (z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
+        self._next = 1
+        return words[0]
 
 
 class ScriptedWords:

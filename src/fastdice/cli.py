@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
+from itertools import islice
 
 from .batch import auto_batch_size, batch_uniform, plan_batch
 from .bernoulli import Rational, bernoulli_rational, check_denominator
@@ -156,18 +157,26 @@ def _uniform_draws(args: argparse.Namespace
                        for v in batch_uniform(source, plan))
 
 
+_BLOCK_LINES = 4096
+
+
 def _print_draws(args: argparse.Namespace, column: str | None,
                  lines: Iterator[object], source: BufferedWordSource,
                  calls: int) -> int:
     """Print the CSV header (if there is a column name), one line per
     draw, then the footer.
 
-    Callers validate every input before the first flip, so each draw is
-    printed as it is made and no error can cut the output short.
+    Callers validate every input before the first flip, so no error can
+    cut the output short.  The draws are made lazily and written in
+    blocks of ``_BLOCK_LINES`` lines, one ``write`` per block, so memory
+    stays bounded for any count.
     """
     if column is not None and args.format == "csv":
         print(column)
-    sys.stdout.writelines(f"{line}\n" for line in lines)
+    text = (f"{line}\n" for line in lines)
+    write = sys.stdout.write
+    while block := "".join(islice(text, _BLOCK_LINES)):
+        write(block)
     print(f"# bits={source.bits_consumed()} calls={calls}")
     return 0
 

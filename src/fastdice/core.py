@@ -23,6 +23,16 @@ record; the samplers that make one draw at a time (batches, unranking,
 ranges, the CLI's ``uniform``) index ``[0]`` of ``_fdr`` instead, so a
 draw whose bit count nobody reads builds no record.
 
+Most draws accept on their first read, so the kernel answers that case
+before it sets up anything else: it reads c = next_bits(width) and
+returns (c, width) at once if c < n.  That needs no check, since
+c < n <= 2**width < 2n holds by construction.  Only a rejected read sets
+up v and the bit count and enters the recycle loop.  The loop-invariant
+``assert`` sits at the end of each recycle step, so it checks every
+recycled state; a source that serves c >= 2**width trips it on the
+first recycle.  Under ``python -O`` it is stripped, and no input guard
+rests on it.
+
 ``_fdr_each`` runs the same loop over a sequence of sizes in one frame
 and returns the values: Fisher-Yates draws a whole permutation's digits
 through it, paying one call instead of one per digit.  It keeps a second
@@ -116,13 +126,12 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
         return _fdr(source, check_range(n))
 
     next_bits = source.next_bits
+    c = next_bits(width)
+    if c < n:  # accepted on the first read: c < n <= 2**width < 2n
+        return c, width
     bits = width
     v = 1 << width  # size of the range c is uniform on; n <= v < 2n
-    c = next_bits(width)
-    while True:
-        assert c < v and n <= v < (n << 1)  # loop invariant; stripped under -O
-        if c < n:
-            return c, bits
+    while c >= n:
         # c landed in the rejection band [n, v): recycle it as a uniform
         # draw on the leftover range of size v - n, then double it back
         # to n or above.
@@ -134,6 +143,8 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
         v <<= j
         c = (c << j) | next_bits(j)
         bits += j
+        assert c < v and n <= v < (n << 1)  # loop invariant; stripped under -O
+    return c, bits
 
 
 def _fdr_each(source: RandomBitSource, sizes: Iterable[int]) -> list[int]:
@@ -152,19 +163,18 @@ def _fdr_each(source: RandomBitSource, sizes: Iterable[int]) -> list[int]:
             append(0)
             continue
         width = (n - 1).bit_length()
-        v = 1 << width
         c = next_bits(width)
-        while True:
-            assert c < v and n <= v < (n << 1)  # _fdr's loop invariant
-            if c < n:
-                break
-            v -= n
-            c -= n
-            j = width - v.bit_length()
-            if v << j < n:
-                j += 1
-            v <<= j
-            c = (c << j) | next_bits(j)
+        if c >= n:  # rejected on the first read: _fdr's recycle loop
+            v = 1 << width
+            while c >= n:
+                v -= n
+                c -= n
+                j = width - v.bit_length()
+                if v << j < n:
+                    j += 1
+                v <<= j
+                c = (c << j) | next_bits(j)
+                assert c < v and n <= v < (n << 1)  # _fdr's loop invariant
         append(c)
     return values
 

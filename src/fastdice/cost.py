@@ -333,19 +333,43 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
     return total
 
 
-class AsymptoticParams(namedtuple("AsymptoticParams", "k_terms gamma")):
-    """Parameters of the smooth approximation to u(n).  k_terms is
-    stored as an int.
+def _finite(name: str, value) -> float:
+    """``value`` as a float, if it is a finite real number.
 
     Raises:
-        TypeError: k_terms is not an integer.
-        ValueError: k_terms < 1.
+        TypeError: value is a string or bytes, or ``float`` refuses it.
+        ValueError: value is NaN or infinite, as
+            ``need a finite {name}, got {float(value)}``.
+    """
+    try:
+        if isinstance(value, (str, bytes, bytearray)):
+            raise TypeError  # float() would parse them
+        x = float(value)
+    except TypeError:
+        raise TypeError(f"need a real {name}, got {type(value).__name__}") \
+            from None
+    except OverflowError:  # an integer past the largest double
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"need a finite {name}, got {x}")
+    return x
+
+
+class AsymptoticParams(namedtuple("AsymptoticParams", "k_terms gamma")):
+    """Parameters of the smooth approximation to u(n).  k_terms is
+    stored as an int, gamma as a float.
+
+    Raises:
+        TypeError: k_terms is not an integer, or gamma is not a real
+            number (a string, bytes, None, or anything ``float`` refuses).
+        ValueError: k_terms < 1, or gamma is NaN or infinite.
     """
 
     __slots__ = ()
 
     def __new__(cls, k_terms: int = 12, gamma: float = EULER_GAMMA):
-        return tuple.__new__(cls, (_at_least("k_terms", k_terms, 1), gamma))
+        return tuple.__new__(cls, (_at_least("k_terms", k_terms, 1),
+                                   _finite("gamma", gamma)))
 
     @classmethod
     def _make(cls, iterable):  # so that _replace validates too

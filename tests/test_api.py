@@ -2,10 +2,13 @@
 classes' repr, equality, hashing, immutability and validation."""
 
 import copy
+import math
 import pickle
 import re
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -148,8 +151,35 @@ NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
                  "need k_terms >= 1, got 0", id="AsymptoticParams-zero"),
     pytest.param(lambda: AsymptoticParams()._replace(k_terms=0), ValueError,
                  "need k_terms >= 1, got 0", id="AsymptoticParams-replace"),
+    pytest.param(lambda: AsymptoticParams(12, math.nan), ValueError,
+                 "need a finite gamma, got nan", id="AsymptoticParams-nan"),
+    pytest.param(lambda: AsymptoticParams(gamma=-math.inf), ValueError,
+                 "need a finite gamma, got -inf", id="AsymptoticParams-inf"),
+    pytest.param(lambda: AsymptoticParams(12, 10**400), ValueError,
+                 "need a finite gamma, got inf", id="AsymptoticParams-huge"),
+    pytest.param(lambda: AsymptoticParams()._replace(gamma=math.inf),
+                 ValueError, "need a finite gamma, got inf",
+                 id="AsymptoticParams-replace-gamma"),
+    pytest.param(lambda: AsymptoticParams(12, "x"), TypeError,
+                 "need a real gamma, got str", id="AsymptoticParams-str"),
+    pytest.param(lambda: AsymptoticParams(12, "0.5"), TypeError,
+                 "need a real gamma, got str", id="AsymptoticParams-numeric-str"),
+    pytest.param(lambda: AsymptoticParams(12, b"0.5"), TypeError,
+                 "need a real gamma, got bytes", id="AsymptoticParams-bytes"),
+    pytest.param(lambda: AsymptoticParams(12, None), TypeError,
+                 "need a real gamma, got NoneType", id="AsymptoticParams-none"),
+    pytest.param(lambda: AsymptoticParams(12, 1j), TypeError,
+                 "need a real gamma, got complex",
+                 id="AsymptoticParams-complex"),
 ])
 def test_value_class_validation(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize("gamma", [1, Fraction(1, 2), Decimal("0.25"), 0.5])
+def test_asymptotic_params_store_gamma_as_a_float(gamma):
+    params = AsymptoticParams(12, gamma)
+    assert type(params.gamma) is float and params.gamma == float(gamma)
+    assert params == AsymptoticParams(12, float(gamma))
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -290,3 +292,35 @@ def test_derived_counter_matches_a_per_bit_counter(seed):
         assert src.bits_consumed() == ref.bits_consumed()
         served = total - ref.remaining
         assert src.words_fetched == -(-served // 32)
+
+
+# ------------------------------------------------ four-lane generator
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, 10**23])
+def test_lanes_serve_the_scalar_stream(seed):
+    # 4,099 words cross 1,024 refills and end three words into the next.
+    gen = SplitMix64Words(seed)
+    assert [gen.next_word() for _ in range(4099)] == _splitmix_words(seed,
+                                                                     4099)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda gen: pickle.loads(pickle.dumps(gen))],
+    ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("served", [1, 2, 3, 4, 5])
+def test_cloned_generator_continues_independently(clone, served):
+    expected = _splitmix_words(7, served + 20)
+    gen = SplitMix64Words(7)
+    assert [gen.next_word() for _ in range(served)] == expected[:served]
+    twin = clone(gen)
+    assert [twin.next_word() for _ in range(20)] == expected[served:]
+    assert [gen.next_word() for _ in range(20)] == expected[served:]
+
+
+@pytest.mark.parametrize("k", range(1, 131))
+def test_lanes_leave_the_word_count_alone(k):
+    src = BufferedWordSource(3)
+    src.next_bits(k)
+    assert src.words_fetched == -(-k // 32)
+    assert src.bits_consumed() == k

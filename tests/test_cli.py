@@ -64,6 +64,19 @@ def test_uniform_matches_library(capsys):
     assert parse_footer(out) == (src.bits_consumed(), 7)
 
 
+def test_uniform_writes_its_draws_in_blocks(monkeypatch):
+    # 8,193 draws span three blocks: one write each, in the draws' order.
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {
+        "write": staticmethod(writes.append)})())
+    assert main(["uniform", "--n", "6", "--count", "8193", "--seed", "3"]) == 0
+    src = BufferedWordSource(3)
+    expected = "".join(f"{fdr_uniform(src, 6).value}\n" for _ in range(8193))
+    assert [w.count("\n") for w in writes[:3]] == [4096, 4096, 1]
+    assert "".join(writes[:3]) == expected
+    assert "".join(writes[3:]) == f"# bits={src.bits_consumed()} calls=8193\n"
+
+
 def test_uniform_batch(capsys):
     assert main(["uniform", "--n", "3", "--count", "6", "--batch", "3",
                  "--seed", "2"]) == 0

@@ -5,6 +5,7 @@ import pytest
 from fastdice import (BufferedWordSource, EmptyRange, RangeTooLarge,
                       ScriptExhausted, ScriptedBitSource, exact_cost,
                       fdr_uniform, fdr_uniform_range)
+from fastdice.core import _fdr, _fdr_each
 
 
 def draw(n, bits):
@@ -51,6 +52,27 @@ def test_range_wrapper():
     # the bounds' type is checked before they are compared
     with pytest.raises(TypeError):
         fdr_uniform_range(ScriptedBitSource([]), 6.5, 3)
+
+
+class _OutOfRange(ScriptedBitSource):
+    """Breaks the source contract: ``next_bits(k)`` serves 2**k."""
+
+    def __init__(self):
+        super().__init__([])
+
+    def next_bits(self, k):
+        return 1 << k
+
+
+@pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
+@pytest.mark.parametrize("kernel", [
+    lambda src: _fdr(src, 6), lambda src: _fdr_each(src, [6])],
+    ids=["_fdr", "_fdr_each"])
+def test_recycle_step_checks_the_loop_invariant(kernel):
+    # 8 >= 6 is rejected on the first read; the recycled c = 12 is not
+    # below v = 8, and the check after the recycle step says so.
+    with pytest.raises(AssertionError):
+        kernel(_OutOfRange())
 
 
 def enumerate_masses(n, depth):
