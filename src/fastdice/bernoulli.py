@@ -7,8 +7,10 @@ probability 2**-t, and summing 2**-t over the positions whose expansion
 bit is 1 gives back exactly k/n.  Expected flips per draw: 2, whatever
 the bias.
 
-The expansion is read in closed form, never digit by digit: the first t
-bits of k/n are the integer floor(k * 2**t / n), so bit t is that integer
+The stopping position is read in one call, ``next_geometric``, which a
+buffered source answers from the unread bits of its buffer.  The
+expansion is read in closed form, never digit by digit: the first t bits
+of k/n are the integer floor(k * 2**t / n), so bit t is that integer
 mod 2 (the same digits ``cost._horner`` reads).
 """
 
@@ -110,8 +112,9 @@ def binary_expansion(p: Rational, count: int) -> list[int]:
 def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     """Return 1 with probability exactly p.num/p.den.
 
-    Reads flips up to and including the first 1; if that is flip t, the
-    answer is bit t of num/den, floor(num * 2**t / den) mod 2.  The flip
+    Reads flips up to and including the first 1, as
+    ``source.next_geometric()``; if that is flip t, the answer is bit t
+    of num/den, floor(num * 2**t / den) mod 2.  The flip
     stream decides the stopping position and never mixes with the
     expansion values.  Degenerate biases 0 and 1 return immediately with
     zero flips.
@@ -125,8 +128,4 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     if not 0 < num < den <= MAX_DENOMINATOR:  # one comparison per draw
         check_denominator(den)
         return int(num == den)  # bias 0 or 1
-    next_bit = source.next_bit
-    t = 1
-    while not next_bit():
-        t += 1
-    return (num << t) // den & 1
+    return (num << source.next_geometric()) // den & 1

@@ -2,25 +2,27 @@
 
 Samplers in this package consume randomness through the
 ``RandomBitSource`` interface: one bit at a time with ``next_bit``, or, as
-a fast path over the same stream, k bits read as one integer with
-``next_bits``.  The production source buffers 32-bit words from an
-injected word generator and serves their bits most significant first, so
-k bits cost exactly ceil(k/32) words however they are read.  Its bit
-counter is derived, not kept: the bits served are 32 per word fetched
-less the bits still unread in the buffer, so a read updates no counter
-beyond the buffer position (and the word count, once per fetched word).
-A scripted source replays a fixed bit list for tests and worked traces.
+fast paths over the same stream, k bits read as one integer with
+``next_bits`` and the flips up to the first 1, counted, with
+``next_geometric``.  The production source buffers the bits of 32-bit
+words and serves them most significant first, so k bits cost exactly
+ceil(k/32) words however they are read.  A scripted source replays a
+fixed bit list for tests and worked traces.
 
-The default word generator, ``SplitMix64Words``, computes four words per
-refill, in 128-bit lanes of one integer.  The stream, ``words_fetched``
-and ``bits_consumed`` are those of one word at a time: the buffered
-source counts the words it is served, and the up to three words
-computed ahead are counted nowhere.
+``BufferedWordSource`` fills its buffer in one of two widths, chosen by
+what it is built from.  From an int seed it owns a ``SplitMix64Words``
+and takes four words at a time, as one 128-bit block from
+``next_block``.  On a caller's generator it takes one word at a time
+from ``next_word``, only when a bit of it is needed, so it never reads
+such a generator ahead.  Both widths serve the same stream with the same
+counts: the source keeps only the number of bits put into its buffer,
+and derives from it the bits consumed and the words fetched, ceil(bits
+served / 32), so the up to three words a block holds beyond the last
+bit served are counted nowhere.
 """
 
 from __future__ import annotations
 
-import struct
 from abc import ABC, abstractmethod
 from typing import Iterable, Protocol
 
@@ -44,8 +46,12 @@ _LANES = 4
 _LANE_MASK = sum(_MASK64 << 128 * i for i in range(_LANES))
 _LANE_STEP = sum(((_LANES * _GAMMA) & _MASK64) << 128 * i
                  for i in range(_LANES))
-# The words are bits 32..63 of each lane: bytes 4-7 of its 16.
-_LANE_WORDS = struct.Struct("<" + "4xI8x" * _LANES).unpack
+# Packing the four words (bits 32..63 of each lane) into one block: the
+# words sit at 0, 128, 256 and 384; folding by 96 brings them to 0, 32,
+# 256 and 288, and folding by 192 to 0, 32, 64 and 96.
+_LANE_WORDS = sum(0xFFFFFFFF << 128 * i for i in range(_LANES))
+_WORD_PAIRS = _MASK64 | _MASK64 << 256
+_MASK128 = (1 << 128) - 1
 
 
 class SplitMix64Words:
@@ -56,35 +62,50 @@ class SplitMix64Words:
     the better-mixed half.  Any seeded generator of uniform 32-bit words
     could be swapped in; this one is tiny and has no global state.
 
-    One refill computes the next four outputs side by side, at about the
-    cost of two computed one at a time, and serves them from a tuple.
-    The state is plain ints and that tuple, so ``copy``, ``deepcopy``
-    and ``pickle`` give independent generators.
+    ``next_block`` computes the next four outputs side by side, at about
+    the cost of two computed one at a time, and returns their words as
+    one 128-bit integer, the first word most significant.  ``next_word``
+    serves one word at a time from a block it holds.  The two read one
+    stream and may be mixed: a block returned after a word read begins
+    with the words its held block has left.  The state is plain ints,
+    so ``copy``, ``deepcopy`` and ``pickle`` give independent generators.
     """
 
     def __init__(self, seed: int = 0):
         state = seed & _MASK64
-        # Lane i: the Weyl state i + 1 steps on, word i of the next refill.
-        self._lanes = sum(((state + (i + 1) * _GAMMA) & _MASK64) << 128 * i
-                          for i in range(_LANES))
-        self._words: tuple[int, ...] = ()
-        self._next = _LANES  # index of the next word to serve
+        # Lane i: the Weyl state 4 - i steps on, word 3 - i of the next
+        # block, so the fold leaves word 0 most significant.
+        self._lanes = sum(
+            ((state + (_LANES - i) * _GAMMA) & _MASK64) << 128 * i
+            for i in range(_LANES))
+        self._block = 0
+        self._left = 0  # bits of the held block not yet served
 
-    def next_word(self) -> int:
-        i = self._next
-        if i < _LANES:
-            self._next = i + 1
-            return self._words[i]
+    def next_block(self) -> int:
         z = self._lanes
         self._lanes = (z + _LANE_STEP) & _LANE_MASK
         z = ((z ^ (z >> 30) & _LANE_MASK) * 0xBF58476D1CE4E5B9) & _LANE_MASK
         z = ((z ^ (z >> 27) & _LANE_MASK) * 0x94D049BB133111EB) & _LANE_MASK
         # z >> 31 carries only into the lanes' high halves, which no word
         # reads, so the last round needs no mask.
-        self._words = words = _LANE_WORDS(
-            (z ^ (z >> 31)).to_bytes(16 * _LANES, "little"))
-        self._next = 1
-        return words[0]
+        y = (z ^ (z >> 31)) >> 32 & _LANE_WORDS
+        y = (y | y >> 96) & _WORD_PAIRS
+        block = (y | y >> 192) & _MASK128
+        left = self._left
+        if left:  # next_word began the held block: its rest comes first
+            block, self._block = (
+                (self._block << 128 - left | block >> left) & _MASK128,
+                block)
+        return block
+
+    def next_word(self) -> int:
+        left = self._left
+        if left:
+            self._left = left = left - 32
+            return self._block >> left & 0xFFFFFFFF
+        self._block = block = self.next_block()
+        self._left = 96
+        return block >> 96
 
 
 class ScriptedWords:
@@ -106,8 +127,8 @@ class RandomBitSource(ABC):
     """A stream of fair bits, with an auditable consumption counter.
 
     ``next_bit`` is the only reading method a subclass must define.
-    ``next_bits`` defaults to a loop over it; a subclass may override it
-    with a faster read of the same stream.
+    ``next_bits`` and ``next_geometric`` default to loops over it; a
+    subclass may override them with faster reads of the same stream.
     """
 
     @abstractmethod
@@ -131,6 +152,19 @@ class RandomBitSource(ABC):
             x = (x << 1) | next_bit()
         return x
 
+    def next_geometric(self) -> int:
+        """Read flips up to and including the first 1; return how many.
+
+        The count is geometric(1/2): t with probability 2**-t.  Counts as
+        t bits consumed, and a read that runs out of bits leaves the
+        counters where the same ``next_bit`` calls would.
+        """
+        next_bit = self.next_bit
+        t = 1
+        while not next_bit():
+            t += 1
+        return t
+
     @abstractmethod
     def bits_consumed(self) -> int:
         """Total bits served since construction or the last counter reset."""
@@ -141,17 +175,24 @@ class RandomBitSource(ABC):
 
 
 class BufferedWordSource(RandomBitSource):
-    """Bit source backed by buffered 32-bit words.
+    """Bit source backed by a buffer of 32-bit words.
 
-    Bits leave the buffer most significant first; a fresh word is fetched
-    only when all 32 bits are spent and another bit is needed, so k bits
-    cost exactly ceil(k/32) words whether they are read by ``next_bit``
-    or ``next_bits``.  State is per instance: independent sources never
-    share a buffer or counter.
+    Bits leave the buffer most significant first, and the buffer is
+    refilled only when it is empty and another bit is needed.  Built from
+    an int seed, the source owns a ``SplitMix64Words`` and fills 128 bits,
+    four words, at a time from its ``next_block``.  Built on a caller's
+    generator, it fills one word at a time from ``next_word``, so it never
+    reads that generator ahead.  Each fill is read as its low 128 or 32
+    bits, so a generator word outside [0, 2**32) cannot push a draw out
+    of range.  Either way, k bits cost exactly ceil(k/32) words whether
+    they are read by ``next_bit``, ``next_bits`` or ``next_geometric``.
+    State is per instance: independent sources never share a buffer or
+    counter, and a copy of a seeded source has its own generator.
 
-    No read updates a bit counter: ``bits_consumed`` is derived as
-    32 * words fetched - bits still unread in the buffer - the value
-    that sum had at the last ``reset_bit_count``.
+    No read updates a counter beyond the buffer position: the source
+    counts the bits put into the buffer, once per fill, and derives
+    ``bits_consumed`` as those bits - the bits still unread - the value
+    that difference had at the last ``reset_bit_count``.
 
     Raises:
         TypeError: the argument is neither an int seed nor an object
@@ -160,65 +201,100 @@ class BufferedWordSource(RandomBitSource):
 
     def __init__(self, seed_or_generator: int | WordGenerator = 0):
         if isinstance(seed_or_generator, int):
-            self._gen: WordGenerator = SplitMix64Words(seed_or_generator)
+            self._fill = SplitMix64Words(seed_or_generator).next_block
+            self._width = 128
         elif callable(getattr(seed_or_generator, "next_word", None)):
-            self._gen = seed_or_generator
+            self._fill = seed_or_generator.next_word
+            self._width = 32
         else:
             raise TypeError(
                 "need an int seed or a word generator with next_word(), "
                 f"got {type(seed_or_generator).__name__}")
-        self._word = 0
-        self._pos = 0  # bits still unread in the buffered word
-        self._words_fetched = 0
-        self._base = 0  # 32 * words fetched - pos at the last reset
+        self._mask = (1 << self._width) - 1
+        self._buf = 0
+        self._pos = 0  # bits still unread in the buffer
+        self._filled = 0  # bits put into the buffer
+        self._base = 0  # _filled - _pos at the last reset
+
+    def __copy__(self):
+        from copy import copy  # here, so that importing fastdice skips it
+
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        if self._width == 128:  # the source owns its generator
+            twin._fill = copy(self._fill.__self__).next_block
+        return twin
 
     def next_bit(self) -> int:
         pos = self._pos
         if pos == 0:
-            self._word = self._gen.next_word()
-            self._words_fetched += 1
-            pos = 32
+            self._buf = self._fill() & self._mask
+            pos = self._width
+            self._filled += pos
         pos -= 1
         self._pos = pos
-        return (self._word >> pos) & 1
+        return (self._buf >> pos) & 1
 
     def next_bits(self, k: int) -> int:
         pos = self._pos
         if k <= pos:
             mask = (1 << k) - 1  # a negative k raises here, before any store
             self._pos = pos = pos - k
-            return (self._word >> pos) & mask
-        # Drain the buffer, then take whole words until the last one is
-        # only partly needed; each part is shifted to its place as it is
-        # read.  The word count moves word by word and the buffer reads
-        # empty meanwhile, so a fetch that raises leaves the counters
-        # where k calls of next_bit would.
+            return (self._buf >> pos) & mask
+        # Drain the buffer, then fill until the last fill is only partly
+        # needed; each fill is shifted to its place as it is read.  The
+        # fill count moves fill by fill and the buffer reads empty
+        # meanwhile, so a fill that raises leaves the counters where k
+        # calls of next_bit would.
         k -= pos
         # A non-integer k (40.0, NaN, inf) raises here, before any store.
-        x = (self._word & ((1 << pos) - 1)) << k
+        x = (self._buf & ((1 << pos) - 1)) << k
         self._pos = 0
-        next_word = self._gen.next_word
+        fill, mask, width = self._fill, self._mask, self._width
         while True:
-            word = next_word()
-            self._words_fetched += 1
-            if k <= 32:
+            buf = fill() & mask
+            self._filled += width
+            if k <= width:
                 break
-            k -= 32
-            x |= word << k
-        pos = 32 - k
-        self._word = word
+            k -= width
+            x |= buf << k
+        pos = width - k
+        self._buf = buf
         self._pos = pos
-        return x | (word >> pos)
+        return x | (buf >> pos)
+
+    def next_geometric(self) -> int:
+        pos = self._pos
+        # The first unread 1 is bit (left - 1) of the buffer.
+        left = (self._buf & ((1 << pos) - 1)).bit_length()
+        if left:
+            self._pos = left - 1
+            return pos - left + 1
+        # A run of zeros to the end of the buffer: fill until a fill
+        # holds a 1, counting as next_bits does.
+        t = pos
+        self._pos = 0
+        fill, mask, width = self._fill, self._mask, self._width
+        while True:
+            buf = fill() & mask
+            self._filled += width
+            if buf:
+                break
+            t += width
+        left = buf.bit_length()
+        self._buf = buf
+        self._pos = left - 1
+        return t + width - left + 1
 
     def bits_consumed(self) -> int:
-        return 32 * self._words_fetched - self._pos - self._base
+        return self._filled - self._pos - self._base
 
     def reset_bit_count(self) -> None:
-        self._base = 32 * self._words_fetched - self._pos
+        self._base = self._filled - self._pos
 
     @property
     def words_fetched(self) -> int:
-        return self._words_fetched
+        return (self._filled - self._pos + 31) // 32
 
 
 class ScriptedBitSource(RandomBitSource):

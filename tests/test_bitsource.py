@@ -1,11 +1,13 @@
 import copy
 import pickle
 import random
+from operator import methodcaller
 
 import pytest
 
 from fastdice import (BufferedWordSource, RandomBitSource, ScriptExhausted,
-                      ScriptedBitSource, ScriptedWords, SplitMix64Words)
+                      ScriptedBitSource, ScriptedWords, SplitMix64Words,
+                      fdr_uniform)
 
 
 def test_scripted_identity():
@@ -191,7 +193,8 @@ def test_scripted_bulk_reads():
 
 
 @pytest.mark.parametrize("read", [lambda s: s.next_bits(4),
-                                  lambda s: [s.next_bit() for _ in range(4)]])
+                                  lambda s: [s.next_bit() for _ in range(4)],
+                                  lambda s: s.next_geometric()])
 def test_scripted_exhaustion_state_is_method_independent(read):
     src = ScriptedBitSource([1, 0, 0, 0, 0])
     src.next_bit()
@@ -203,10 +206,12 @@ def test_scripted_exhaustion_state_is_method_independent(read):
 
 
 @pytest.mark.parametrize("read", [lambda s: s.next_bits(80),
-                                  lambda s: [s.next_bit() for _ in range(80)]])
+                                  lambda s: [s.next_bit() for _ in range(80)],
+                                  lambda s: s.next_geometric()])
 def test_buffered_word_exhaustion_state_is_method_independent(read):
     # A read that outruns the word script leaves the counters where the
-    # same read made bit by bit would.
+    # same read made bit by bit would; the geometric read meets only
+    # zeros after the first 20 bits.
     src = BufferedWordSource(ScriptedWords([0xFFFF0000, 0]))
     src.next_bits(20)
     with pytest.raises(ScriptExhausted):
@@ -269,29 +274,75 @@ def _splitmix_words(seed, count):
     return words
 
 
+def _three_sources(seed, words):
+    """The seeded source (128-bit fills), the same generator handed in
+    (32-bit fills) and a scripted replay of its first `words` words."""
+    return (BufferedWordSource(seed),
+            BufferedWordSource(SplitMix64Words(seed)),
+            ScriptedBitSource((w >> (31 - i)) & 1
+                              for w in _splitmix_words(seed, words)
+                              for i in range(32)))
+
+
+def _read_alike(sources, read, words):
+    """Apply `read` to each source; values and counters must agree, with
+    the replay's word count derived from its cursor."""
+    values = {read(src) for src in sources}
+    assert len(values) == 1
+    *buffered, ref = sources
+    served = words * 32 - ref.remaining
+    for src in buffered:
+        assert src.bits_consumed() == ref.bits_consumed()
+        assert src.words_fetched == -(-served // 32)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_derived_counter_matches_a_per_bit_counter(seed):
-    # Random interleavings of single reads, bulk reads of 0..70 bits and
-    # counter resets, against a scripted source that counts every bit.
+    # Random interleavings of single reads, bulk reads of 0..300 bits,
+    # geometric reads and counter resets: both fill widths against a
+    # scripted source that counts every bit.
     rng = random.Random(seed)
-    words = _splitmix_words(seed, 400 * 70 // 32 + 1)
-    src = BufferedWordSource(seed)
-    ref = ScriptedBitSource((w >> (31 - i)) & 1 for w in words
-                            for i in range(32))
-    total = len(words) * 32
+    words = 400 * 300 // 32 + 64
+    sources = _three_sources(seed, words)
     for _ in range(400):
-        op = rng.choice(("bit", "reset", "bits", "bits", "bits"))
-        if op == "bit":
-            assert src.next_bit() == ref.next_bit()
-        elif op == "reset":
-            src.reset_bit_count()
-            ref.reset_bit_count()
+        op = rng.choice(("bit", "reset", "geometric", "bits", "bits"))
+        if op == "reset":
+            for src in sources:
+                src.reset_bit_count()
+            _read_alike(sources, methodcaller("bits_consumed"), words)
+        elif op == "bits":
+            k = rng.randint(0, 300)
+            _read_alike(sources, lambda src: src.next_bits(k), words)
         else:
-            k = rng.randint(0, 70)
-            assert src.next_bits(k) == ref.next_bits(k), k
-        assert src.bits_consumed() == ref.bits_consumed()
-        served = total - ref.remaining
-        assert src.words_fetched == -(-served // 32)
+            _read_alike(sources, methodcaller("next_" + op), words)
+
+
+@pytest.mark.parametrize("before", [0, 5, 96, 128, 200])
+@pytest.mark.parametrize("k", [127, 128, 129, 256])
+def test_reads_across_block_edges(k, before):
+    # From a fresh source and from inside or at the end of a block.
+    sources = _three_sources(k, 20)
+    _read_alike(sources, lambda src: src.next_bits(before), 20)
+    _read_alike(sources, lambda src: src.next_bits(k), 20)
+    _read_alike(sources, methodcaller("next_geometric"), 20)
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda src: pickle.loads(pickle.dumps(src))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_cloned_seeded_source_continues_independently(clone):
+    # 45 bits leave the first block 83 bits unread; ten 50-bit reads
+    # cross four more block fills.
+    src, ref = BufferedWordSource(7), BufferedWordSource(7)
+    src.next_bits(45)
+    ref.next_bits(45)
+    twin = clone(src)
+    expected = [ref.next_bits(50) for _ in range(10)]
+    assert [twin.next_bits(50) for _ in range(10)] == expected
+    assert [src.next_bits(50) for _ in range(10)] == expected
+    for copied in (twin, src):
+        assert (copied.bits_consumed(), copied.words_fetched) == (
+            ref.bits_consumed(), ref.words_fetched)
 
 
 # ------------------------------------------------ four-lane generator
@@ -324,3 +375,130 @@ def test_lanes_leave_the_word_count_alone(k):
     src.next_bits(k)
     assert src.words_fetched == -(-k // 32)
     assert src.bits_consumed() == k
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_blocks_are_four_words_first_most_significant(seed):
+    gen = SplitMix64Words(seed)
+    words = [b >> 96 - 32 * i & 0xFFFFFFFF
+             for b in (gen.next_block() for _ in range(30)) for i in range(4)]
+    assert words == _splitmix_words(seed, 120)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_word_and_block_reads_mix_into_one_stream(seed):
+    # A block read after k word reads begins with the 4 - k words the
+    # held block has left.
+    rng = random.Random(seed)
+    gen, served = SplitMix64Words(seed), []
+    while len(served) < 400:
+        if rng.random() < 0.5:
+            served.append(gen.next_word())
+        else:
+            block = gen.next_block()
+            served += [block >> 96 - 32 * i & 0xFFFFFFFF for i in range(4)]
+    assert served == _splitmix_words(seed, len(served))
+
+
+# ------------------------------------------------------ geometric reads
+
+
+def test_geometric_counts_through_zero_words():
+    src = BufferedWordSource(ScriptedWords([0, 0, 1]))
+    assert src.next_geometric() == 96
+    assert (src.bits_consumed(), src.words_fetched) == (96, 3)
+
+
+def test_geometric_counts_through_zero_blocks(monkeypatch):
+    # A seeded source fills from next_block; script its blocks.
+    blocks = iter([0, 0, 1])
+    monkeypatch.setattr(SplitMix64Words, "next_block",
+                        lambda self: next(blocks))
+    src = BufferedWordSource(0)
+    assert src.next_geometric() == 384
+    assert (src.bits_consumed(), src.words_fetched) == (384, 12)
+
+
+def test_geometric_reads_within_a_word():
+    src = BufferedWordSource(ScriptedWords([0b1001 << 28, 1 << 31]))
+    assert [src.next_geometric() for _ in range(3)] == [1, 3, 29]
+    assert (src.bits_consumed(), src.words_fetched) == (33, 2)
+
+
+class _Replay(RandomBitSource):
+    """A source that defines only next_bit, so it inherits every default."""
+
+    def __init__(self, bits):
+        self._bits = iter(bits)
+        self.count = 0
+
+    def next_bit(self):
+        bit = next(self._bits)
+        self.count += 1
+        return bit
+
+    def bits_consumed(self):
+        return self.count
+
+    def reset_bit_count(self):
+        self.count = 0
+
+
+@pytest.mark.parametrize("make", [ScriptedBitSource, _Replay],
+                         ids=["scripted", "default"])
+def test_default_geometric_loops_over_next_bit(make):
+    src = make([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
+    assert [src.next_geometric() for _ in range(3)] == [1, 3, 7]
+    assert src.bits_consumed() == 11
+
+
+# ------------------------------------------------ words out of [0, 2**32)
+
+
+class _Words:
+    """A caller's generator serving fixed ints, in range or not."""
+
+    def __init__(self, *words):
+        self._words = words
+        self._next = 0
+
+    def next_word(self):
+        word = self._words[self._next % len(self._words)]
+        self._next += 1
+        return word
+
+
+def test_a_word_of_minus_one_reads_as_all_ones():
+    src = BufferedWordSource(_Words(-1))
+    assert src.next_bits(40) == (1 << 40) - 1
+    assert src.next_bit() == 1
+    assert src.next_geometric() == 1
+    # All ones is accepted on the first read only by a power of two.
+    for width in (1, 2, 3, 32, 33, 62):
+        assert fdr_uniform(src, 1 << width) == ((1 << width) - 1, width)
+
+
+def test_a_word_past_32_bits_reads_as_its_low_bits():
+    src = BufferedWordSource(_Words(2**32 + 5))
+    assert src.next_bits(32) == 5
+    assert src.next_bits(64) == 5 << 32 | 5
+    assert src.words_fetched == 3
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_out_of_range_words_draw_like_their_low_bits(seed):
+    # Each word shifted by a multiple of 2**32, up or down, serves the
+    # same draws as the word itself, and every draw lands in [0, n).
+    rng = random.Random(seed)
+    words = _splitmix_words(seed, 2000)
+    shifted = [w + (rng.randint(-3, 3) << 32 + rng.randint(0, 40))
+               for w in words]
+    plain = BufferedWordSource(_Words(*words))
+    wild = BufferedWordSource(_Words(*shifted))
+    for _ in range(300):
+        n = rng.randint(1, 1 << rng.randint(1, 62))
+        drawn = fdr_uniform(wild, n)
+        assert drawn == fdr_uniform(plain, n)
+        assert 0 <= drawn.value < n
+        assert wild.next_geometric() == plain.next_geometric()
+    assert plain.words_fetched == wild.words_fetched

@@ -34,7 +34,8 @@ import pytest
 
 from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
                       FdrOutcome, LehmerCode, RandomBitSource, Rank, Rational,
-                      ScriptExhausted, ScriptedBitSource, bernoulli_rational,
+                      ScriptExhausted, ScriptedBitSource, ScriptedWords,
+                      bernoulli_rational,
                       check_denominator, check_range, check_unrank_size,
                       factorial_compose, factorial_decompose, fdr_uniform,
                       fisher_yates, nu_exact, random_lehmer_code,
@@ -216,15 +217,24 @@ def test_bernoulli_matches_reference(p):
             assert state(new) == state(ref)
 
 
-@pytest.mark.parametrize("t", [1, 2, 31, 32, 33, 62, 63, 64, 65, 100, 200])
+@pytest.mark.parametrize("t", [1, 2, 31, 32, 33, 62, 63, 64, 65, 100,
+                               127, 128, 129, 200])
 def test_bernoulli_deep_stops_match_reference(t):
     # Seeded draws almost never stop past t = 20; the script 0^(t-1) 1
-    # stops at t, and past t = 2 num * 2**t no longer fits 64 bits.
+    # stops at t, and past t = 2 num * 2**t no longer fits 64 bits.  As
+    # words, the same script makes the buffered source's geometric read
+    # cross (t - 1) // 32 all-zero words.
     bits = [0] * (t - 1) + [1]
+    words = [0] * ((t - 1) // 32) + [1 << 31 - (t - 1) % 32]
     for p in bernoulli_biases():
         new, ref = ScriptedBitSource(bits), ScriptedBitSource(bits)
         assert bernoulli_rational(new, p) == reference_bernoulli(ref, p)
         assert new.bits_consumed() == ref.bits_consumed()
+        new, ref = (BufferedWordSource(ScriptedWords(words)),
+                    BufferedWordSource(ScriptedWords(words)))
+        assert bernoulli_rational(new, p) == reference_bernoulli(ref, p)
+        read = (t, len(words)) if 0 < p.num < p.den else (0, 0)
+        assert state(new) == state(ref) == read
 
 
 def test_default_fast_paths_draw_identically():
