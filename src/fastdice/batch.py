@@ -18,7 +18,7 @@ from operator import index
 
 from .bitsource import RandomBitSource
 from .core import MAX_UNIFORM_RANGE, _fdr, _split, check_range
-from .errors import Overflow, _at_least
+from .errors import Overflow, _at_least, _Record
 
 
 def _checked_power(n: int, j: int) -> tuple[int, int, int]:
@@ -34,7 +34,7 @@ def _checked_power(n: int, j: int) -> tuple[int, int, int]:
     return n, j, power
 
 
-class BatchPlan(namedtuple("BatchPlan", "n j n_pow_j")):
+class BatchPlan(_Record, namedtuple("BatchPlan", "n j n_pow_j")):
     """A validated (n, j) pair with the precomputed master range n**j.
 
     Built by ``plan_batch``; built directly, it runs the same checks and
@@ -55,10 +55,6 @@ class BatchPlan(namedtuple("BatchPlan", "n j n_pow_j")):
             raise ValueError(f"need n_pow_j == {n}**{j} = {power}, "
                              f"got {n_pow_j}")
         return tuple.__new__(cls, checked)
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
 
 def plan_batch(n: int, j: int) -> BatchPlan:

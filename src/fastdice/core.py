@@ -17,7 +17,7 @@ start, and after each reduction the fewest j with v * 2**j >= n.  That
 reads exactly the flips a one-flip-per-step loop would, in the same
 order, and stops at the same flip.
 
-The loop lives in ``_fdr``, which returns a plain (value, bits_used)
+The draw lives in ``_fdr``, which returns a plain (value, bits_used)
 tuple.  ``fdr_uniform`` is the only place that builds the ``FdrOutcome``
 record; the samplers that make one draw at a time (batches, unranking,
 ranges, the CLI's ``uniform``) index ``[0]`` of ``_fdr`` instead, so a
@@ -26,19 +26,28 @@ draw whose bit count nobody reads builds no record.
 Most draws accept on their first read, so the kernel answers that case
 before it sets up anything else: it reads c = next_bits(width) and
 returns (c, width) at once if c < n.  That needs no check, since
-c < n <= 2**width < 2n holds by construction.  Only a rejected read sets
-up v and the bit count and enters the recycle loop.  The loop-invariant
-``assert`` sits at the end of each recycle step, so it checks every
-recycled state; a source that serves c >= 2**width trips it on the
-first recycle.  Under ``python -O`` it is stripped, and no input guard
-rests on it.
+c < n <= 2**width < 2n holds by construction.  Only a rejected read
+calls ``_recycle``, the one recycle loop, which both kernels share:
+``_fdr`` for one draw, and ``_fdr_each``, which draws a sequence of
+sizes in one frame and returns the values (Fisher-Yates draws a whole
+permutation's digits through it, paying one call per rejected first
+read instead of one per digit).  The loop-invariant ``assert`` sits at
+the end of each recycle step, so it checks every recycled state; a
+source that serves c >= 2**width trips it on the first recycle.  Under
+``python -O`` it is stripped, and no input guard rests on it.
 
-``_fdr_each`` runs the same loop over a sequence of sizes in one frame
-and returns the values: Fisher-Yates draws a whole permutation's digits
-through it, paying one call instead of one per digit.  It keeps a second
-copy of the loop because a single draw sent through the sequence kernel
-pays for the list and the outer loop it does not need; single draws stay
-on ``_fdr``.
+A draw whose flips pass the cap C = ``_MAX_FLIPS`` (1024) raises
+``FastdiceError`` at its next rejection instead of reading on, so a
+stuck source (a caller's generator that yields only ones, say) ends the
+draw instead of hanging it.  The check runs only in the recycle loop,
+before a step reads anything, so a first-read accept pays nothing for
+it.  Returned draws stay exact.  The cap cuts off only draws still
+undecided after C flips, and at every decision each value is equally
+likely, so given that the draw returns, its value is exactly uniform,
+and its flips are those of the uncapped loop.  A fair source reaches
+the cap with probability at most r_C / 2**C < 2**(62 - C), where
+r_C = 2**C mod n is the size of the range still undecided after C
+flips.
 
 ``_split`` writes an integer in a mixed radix, most significant digit
 first.  It turns one master draw into many values: a batch's base-n
@@ -62,11 +71,15 @@ from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitsource import RandomBitSource
-from .errors import EmptyRange, RangeTooLarge, _at_least
+from .errors import EmptyRange, FastdiceError, RangeTooLarge, _at_least
 
 # Doubling can momentarily hold v < 2n, so n itself must stay one doubling
 # short of the 63-bit line to keep every intermediate inside 64 bits.
 MAX_UNIFORM_RANGE = 1 << 62
+
+# A draw still rejected after this many flips raises instead of reading
+# on; a fair source gets that far with probability below 2**-962.
+_MAX_FLIPS = 1024
 
 
 def check_range(n: int) -> int:
@@ -109,7 +122,9 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
         TypeError: n is not an integer.
         ValueError: n < 1.
         RangeTooLarge: n > 2**62.
-        All come from ``check_range`` before any flip is read.
+        All three come from ``check_range`` before any flip is read.
+        FastdiceError: the draw was still rejected after more than
+            1024 flips, as on a stuck source; see the module docstring.
     """
     # tuple.__new__ skips the Python-level FdrOutcome.__new__ frame.
     return tuple.__new__(FdrOutcome, _fdr(source, n))
@@ -129,9 +144,23 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
     c = next_bits(width)
     if c < n:  # accepted on the first read: c < n <= 2**width < 2n
         return c, width
+    return _recycle(next_bits, n, width, c)
+
+
+def _recycle(next_bits, n: int, width: int, c: int) -> tuple[int, int]:
+    """Finish a draw on n whose first read of width flips, c, was
+    rejected (n <= c < 2**width); return (value, bits_used).
+
+    Raises:
+        FastdiceError: the draw is still rejected after more than
+            ``_MAX_FLIPS`` flips.
+    """
     bits = width
     v = 1 << width  # size of the range c is uniform on; n <= v < 2n
     while c >= n:
+        if bits > _MAX_FLIPS:
+            raise FastdiceError(f"no value for n={n} after {bits} flips: "
+                                "the bit source looks stuck")
         # c landed in the rejection band [n, v): recycle it as a uniform
         # draw on the leftover range of size v - n, then double it back
         # to n or above.
@@ -164,17 +193,8 @@ def _fdr_each(source: RandomBitSource, sizes: Iterable[int]) -> list[int]:
             continue
         width = (n - 1).bit_length()
         c = next_bits(width)
-        if c >= n:  # rejected on the first read: _fdr's recycle loop
-            v = 1 << width
-            while c >= n:
-                v -= n
-                c -= n
-                j = width - v.bit_length()
-                if v << j < n:
-                    j += 1
-                v <<= j
-                c = (c << j) | next_bits(j)
-                assert c < v and n <= v < (n << 1)  # _fdr's loop invariant
+        if c >= n:  # rejected on the first read
+            c = _recycle(next_bits, n, width, c)[0]
         append(c)
     return values
 

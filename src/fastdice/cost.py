@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .batch import plan_batch
 from .bernoulli import Rational
-from .errors import PoleAtOne, _at_least
+from .errors import PoleAtOne, _at_least, _Record
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -355,7 +355,8 @@ def _finite(name: str, value) -> float:
     return x
 
 
-class AsymptoticParams(namedtuple("AsymptoticParams", "k_terms gamma")):
+class AsymptoticParams(_Record,
+                       namedtuple("AsymptoticParams", "k_terms gamma")):
     """Parameters of the smooth approximation to u(n).  k_terms is
     stored as an int, gamma as a float.
 
@@ -370,10 +371,6 @@ class AsymptoticParams(namedtuple("AsymptoticParams", "k_terms gamma")):
     def __new__(cls, k_terms: int = 12, gamma: float = EULER_GAMMA):
         return tuple.__new__(cls, (_at_least("k_terms", k_terms, 1),
                                    _finite("gamma", gamma)))
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
     @property
     def constant(self) -> float:

@@ -7,6 +7,11 @@ and ``cost`` all go through it.  An integer means anything with
 ``__index__``; anything else (a float, NaN, a ``Fraction``, a
 ``Decimal``, a string) raises ``TypeError`` from ``operator.index``
 before any flip is read.
+
+The validating records (``LehmerCode``, ``Rank``, ``BatchPlan`` and
+``AsymptoticParams``) are ``namedtuple`` subclasses that check their
+fields in ``__new__``; each also inherits ``_Record``, so that
+``_replace`` builds through that ``__new__`` and validates too.
 """
 
 from operator import index
@@ -23,6 +28,18 @@ def _at_least(name: str, value, lo: int) -> int:
     if value < lo:
         raise ValueError(f"need {name} >= {lo}, got {value}")
     return value
+
+
+class _Record:
+    """Mixin for a ``namedtuple`` subclass that validates in ``__new__``:
+    ``_make``, and so ``_replace``, builds through ``__new__`` too.  It
+    goes before the ``namedtuple`` base."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class FastdiceError(Exception):

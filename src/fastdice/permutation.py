@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 from .bitsource import RandomBitSource
 from .core import _fdr, _fdr_each, _split, check_range
 from .errors import (DigitOutOfRange, FactorialOverflow, RankOutOfRange,
-                     _at_least)
+                     _at_least, _Record)
 
 # 20! = 2432902008176640000 < 2**62 < 21!; larger sizes would push the
 # rank draw past the uniform sampler's doubling guard.
@@ -59,7 +59,7 @@ def check_unrank_size(n: int) -> None:
             f"{n}! exceeds the 64-bit working range (cap is n = 20)")
 
 
-class LehmerCode(namedtuple("LehmerCode", "digits")):
+class LehmerCode(_Record, namedtuple("LehmerCode", "digits")):
     """Factorial-base digits (X_n, ..., X_1), highest position first.
 
     digits[idx] is the digit of positional size n - idx, so it must lie
@@ -82,16 +82,12 @@ class LehmerCode(namedtuple("LehmerCode", "digits")):
                     f"digit {d} at position size {n - idx} (index {idx})")
         return tuple.__new__(cls, (digits,))
 
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
-
     @property
     def n(self) -> int:
         return len(self.digits)
 
 
-class Rank(namedtuple("Rank", "value n")):
+class Rank(_Record, namedtuple("Rank", "value n")):
     """A permutation rank: an integer in [0, n!).
 
     Raises:
@@ -110,10 +106,6 @@ class Rank(namedtuple("Rank", "value n")):
         if value < 0 or value.bit_length() >= n and value >= math.factorial(n):
             raise RankOutOfRange(f"rank {value} outside [0, {n}!)")
         return tuple.__new__(cls, (value, n))
-
-    @classmethod
-    def _make(cls, iterable):  # so that _replace validates too
-        return cls(*iterable)
 
 
 def factorial_decompose(rank: Rank) -> LehmerCode:

@@ -112,6 +112,17 @@ def test_rational_is_a_record_not_a_tuple():
         Rational(1, 3).extra = 0
 
 
+@pytest.mark.parametrize("record", [
+    LehmerCode((1, 0)), Rank(1, 3), plan_batch(6, 2), AsymptoticParams()],
+    ids=lambda r: type(r).__name__)
+def test_validating_records_are_slotted_tuples(record):
+    # The shared _make override adds no instance dict to the records.
+    assert isinstance(record, tuple) and not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert type(record)._make(record) == record
+
+
 NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
 
 

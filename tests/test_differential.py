@@ -8,7 +8,9 @@ consume: the library must return the same value, report the same
 words fetched, script cursor), draw after draw, and must raise
 ScriptExhausted on exactly the bit strings where the reference does.
 The sequence kernel ``core._fdr_each`` must equal one reference draw per
-size, in order, the same way.
+size, in order, the same way.  With the flip cap lowered, every draw that
+returns must still equal the reference's, and a raise is allowed only
+where the reference reads past the cap.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
@@ -192,6 +194,39 @@ def test_fdr_each_bad_size_raises_like_check_range():
         reference_fdr_uniform(ref, 6)
         reference_fdr_uniform(ref, 1 << 62)
         assert state(new) == state(ref)
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_flip_cap_keeps_returned_draws_exact(n, monkeypatch):
+    # With the cap at 8 flips, a draw reads at most 8 + 3 < 14 flips, so
+    # every 14-flip script either returns what the uncapped reference
+    # returns or raises, and raises only where the reference reads more
+    # than 8 flips (or more than the script holds).  Every value then
+    # collects the same number of scripts, the same mass, and the raises
+    # stay within the reference's undecided mass after 8 flips,
+    # (2**8 mod n) / 2**8.
+    cap, depth = 8, 14
+    monkeypatch.setattr(core, "_MAX_FLIPS", cap)
+    counts = [0] * n
+    raised = 0
+    for x in range(1 << depth):
+        bits = [(x >> (depth - 1 - i)) & 1 for i in range(depth)]
+        try:
+            ref = reference_fdr_uniform(ScriptedBitSource(bits), n)
+        except ScriptExhausted:
+            ref = None
+        try:
+            got = fdr_uniform(ScriptedBitSource(bits), n)
+        except FastdiceError as exc:
+            assert type(exc) is FastdiceError  # the cap, not the script
+            assert ref is None or ref.bits_used > cap
+            raised += 1
+            continue
+        assert got == ref
+        counts[got.value] += 1
+    assert counts == [counts[0]] * n
+    assert 0 < raised <= (1 << cap) % n << (depth - cap)
+    assert n * counts[0] + raised == 1 << depth
 
 
 def bernoulli_biases():

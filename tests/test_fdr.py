@@ -1,10 +1,14 @@
+import signal
 from fractions import Fraction
 
 import pytest
 
-from fastdice import (BufferedWordSource, EmptyRange, RangeTooLarge,
-                      ScriptExhausted, ScriptedBitSource, exact_cost,
-                      fdr_uniform, fdr_uniform_range)
+from fastdice import (BufferedWordSource, EmptyRange, FastdiceError,
+                      RangeTooLarge, ScriptExhausted, ScriptedBitSource,
+                      batch_uniform, exact_cost, fdr_uniform,
+                      fdr_uniform_range, fisher_yates, plan_batch,
+                      random_permutation_unranked)
+from fastdice import core
 from fastdice.core import _fdr, _fdr_each
 
 
@@ -64,15 +68,82 @@ class _OutOfRange(ScriptedBitSource):
         return 1 << k
 
 
-@pytest.mark.skipif(not __debug__, reason="asserts are stripped under -O")
+class Hang(Exception):
+    """A call outlived its alarm."""
+
+
+def _alarm(signum, frame):
+    raise Hang("over 5 s")
+
+
+@pytest.fixture
+def alarm():
+    """Fail a test that runs for more than 5 s instead of letting it
+    hang."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(5)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("kernel", [
     lambda src: _fdr(src, 6), lambda src: _fdr_each(src, [6])],
     ids=["_fdr", "_fdr_each"])
-def test_recycle_step_checks_the_loop_invariant(kernel):
+def test_recycle_step_checks_the_loop_invariant(kernel, alarm):
     # 8 >= 6 is rejected on the first read; the recycled c = 12 is not
-    # below v = 8, and the check after the recycle step says so.
-    with pytest.raises(AssertionError):
+    # below v = 8, and the check after the recycle step says so.  Under
+    # -O the check is stripped, the recycled c only grows, and the draw
+    # is still rejected when it passes the flip cap.
+    with pytest.raises(AssertionError if __debug__ else FastdiceError):
         kernel(_OutOfRange())
+
+
+class _Stuck:
+    """A word generator that returns the same word for ever."""
+
+    def __init__(self, word):
+        self.word = word
+
+    def next_word(self):
+        return self.word
+
+
+# Each call's first draw is on a size that is not a power of two, so an
+# all-ones stream is rejected at every decision, and the draw raises at
+# the first rejection past 1024 flips.  n = 6 reads 3 flips, then 2 per
+# recycle step: 1025.  n = 5 reads 3, then 1 and 3 in turn: 1027.
+# n = 3**5 = 243 (the batch) and n = 5! = 120 (the rank) stop at 1025
+# and 1027, as a one-flip-per-step loop with the same cap does.
+@pytest.mark.parametrize("word", [0xFFFFFFFF, -1], ids=["ones", "minus1"])
+@pytest.mark.parametrize("call, flips", [
+    (lambda src: fdr_uniform(src, 6), 1025),
+    (lambda src: fdr_uniform_range(src, 1, 6), 1025),
+    (lambda src: fisher_yates(src, 5), 1027),
+    (lambda src: batch_uniform(src, plan_batch(3, 5)), 1025),
+    (lambda src: random_permutation_unranked(src, 5), 1027),
+], ids=["fdr_uniform", "fdr_uniform_range", "fisher_yates",
+        "batch_uniform", "random_permutation_unranked"])
+def test_a_stuck_generator_raises_instead_of_hanging(word, call, flips,
+                                                     alarm):
+    src = BufferedWordSource(_Stuck(word))
+    with pytest.raises(FastdiceError, match="looks stuck"):
+        call(src)
+    assert src.bits_consumed() == flips
+
+
+def test_a_first_read_accept_runs_no_cap_check(monkeypatch):
+    # With the cap at 0 every rejection raises at once, yet a draw that
+    # accepts on its first read still returns.
+    monkeypatch.setattr(core, "_MAX_FLIPS", 0)
+    assert draw(5, [1, 0, 0]) == (4, 3)
+    assert _fdr_each(ScriptedBitSource([1, 0, 0, 1, 0]), [5, 3]) == [4, 2]
+    src = ScriptedBitSource([1, 1, 0])
+    with pytest.raises(FastdiceError, match="after 3 flips"):
+        fdr_uniform(src, 5)
+    assert src.bits_consumed() == 3
 
 
 def enumerate_masses(n, depth):
