@@ -119,6 +119,14 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     expansion values.  Degenerate biases 0 and 1 return immediately with
     zero flips.
 
+    The draw needs a source that yields a 1 at last.  On a caller's word
+    generator stuck at 0 it never returns: ``next_geometric`` waits for
+    a 1 that never comes.  The uniform, batch and permutation routes
+    raise ``FastdiceError`` after 1024 flips instead; this one has no
+    such cap, because stopping after C flips keeps the returned bit
+    exactly Bernoulli(p) only when den is odd and C is a multiple of the
+    period of 2 mod den.
+
     Raises:
         ValueError: den beyond the 2**62 limit (from
             ``check_denominator``).

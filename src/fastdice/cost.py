@@ -15,7 +15,10 @@ On top of that sit the toll t(n) = u(n) - log2(n) in [0, 2], the
 per-value cost of batched draws u(n**j)/j, and the smooth approximation
 log2(n) + constant + P(log2 n), whose Fourier fluctuation P needs the
 Riemann zeta function on the line Re(s) = 1 (computed here by
-Euler-Maclaurin summation; no external math dependency).
+Euler-Maclaurin summation; no external math dependency).  One row of
+the cost table, cost_breakdown(n), holds n, u(n), log2(n), the toll and
+the smooth approximation, each the same double its own function
+returns; the row validates n once and takes its log2 once.
 """
 
 from __future__ import annotations
@@ -52,18 +55,20 @@ def _period_of_two(m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _position_masks(levels: int) -> tuple[int, ...]:
-    """M_0 .. M_{levels-1} over 2**levels bits: M_t sets bit i exactly
-    when bit t of i is set.
+def _position_masks(levels: int) -> tuple[tuple[int, int], ...]:
+    """(t, M_t) for t < levels, over 2**levels bits: M_t sets bit i
+    exactly when bit t of i is set.
 
     Built by doubling, in time linear in their total size: about
     levels * 2**levels / 8 bytes, 128 KB at 16 levels but 5.6 MB at 21.
+    Each mask is stored with its shift, so a sum over them needs no
+    ``enumerate``.
     """
     masks: tuple[int, ...] = ()
     for t in range(levels):
         h = 1 << t
         masks = tuple(m | m << h for m in masks) + ((1 << 2 * h) - (1 << h),)
-    return masks
+    return tuple(enumerate(masks))
 
 
 def _weighted_bit_sum(x: int) -> int:
@@ -78,7 +83,7 @@ def _weighted_bit_sum(x: int) -> int:
     # (over 65536 bits) builds its masks for the one call.
     build = _position_masks if levels <= 16 else _position_masks.__wrapped__
     total = 0
-    for t, m in enumerate(build(levels)):
+    for t, m in build(levels):
         total += (x & m) << t
     return total
 
@@ -198,7 +203,12 @@ def exact_cost(n: int) -> float:
         TypeError: n is not an integer.
         ValueError: n < 1.
     """
-    a, m = _split_power_of_two(_at_least("n", n, 1))
+    return _exact_cost(_at_least("n", n, 1))
+
+
+def _exact_cost(n: int) -> float:
+    """exact_cost for an int n >= 1 the caller has validated."""
+    a, m = _split_power_of_two(n)
     if m == 1:
         return float(a)
     return a + _series_double(1, m, 1, m.bit_length() + 72)
@@ -379,6 +389,8 @@ class AsymptoticParams(_Record,
 
 
 _DEFAULT_PARAMS = AsymptoticParams()
+_DEFAULT_CONSTANT = _DEFAULT_PARAMS.constant
+_DEFAULT_K_TERMS = _DEFAULT_PARAMS.k_terms
 
 
 @lru_cache(maxsize=None)
@@ -400,11 +412,17 @@ def _fourier_coefficients(k_terms: int) -> tuple[complex, ...]:
 
 @lru_cache(maxsize=None)
 def _fluctuation_terms(k_terms: int) -> tuple[tuple[float, float, float], ...]:
-    """(omega_k, Re c_k, Im c_k) for k = 1..k_terms, c_k the Fourier
+    """(omega_k, 2 Re c_k, 2 Im c_k) for k = 1..k_terms, c_k the Fourier
     coefficients and omega_k the double 2.0 * math.pi * k, so that
     omega_k * frac is the phase 2*pi*k*frac rounded the same way each
-    call."""
-    return tuple((2.0 * math.pi * k, c.real, c.imag) for k, c in
+    call.
+
+    Each pair's factor 2 is stored in its coefficients.  Doubling a
+    binary double only raises its exponent, so it is exact and commutes
+    with rounding: (2a)*x + (2b)*y rounds to exactly twice a*x + b*y,
+    that is to 2*(a*x + b*y), bit for bit.  That holds barring overflow
+    and underflow, which the sizes of c_k, cos and sin rule out."""
+    return tuple((2.0 * math.pi * k, 2.0 * c.real, 2.0 * c.imag) for k, c in
                  enumerate(_fourier_coefficients(k_terms), start=1))
 
 
@@ -415,6 +433,8 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     its conjugate, so each pair contributes the real combination
     2*(Re c_k * cos + Im c_k * sin) and the total is real by
     construction.  Since k is an integer, only frac(log2n) matters.
+    The 2 is stored in the coefficients, saving a multiply per term;
+    binary floating point makes that exact (see _fluctuation_terms).
 
     Raises:
         TypeError: k_terms is not an integer.
@@ -423,10 +443,19 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     frac = log2n % 1.0
     total = 0.0
     cos, sin = math.cos, math.sin
-    for omega, re, im in _fluctuation_terms(k_terms):
+    for omega, re2, im2 in _fluctuation_terms(k_terms):
         theta = omega * frac
-        total += 2.0 * (re * cos(theta) + im * sin(theta))
+        total += re2 * cos(theta) + im2 * sin(theta)
     return -total / LN2
+
+
+def _asymptotic(log2n: float, params: AsymptoticParams | None) -> float:
+    """log2n + constant + P(log2n), for a log2n the caller has taken."""
+    if params is None:  # the default constant is read once, at import
+        constant, k_terms = _DEFAULT_CONSTANT, _DEFAULT_K_TERMS
+    else:
+        constant, k_terms = params.constant, params.k_terms
+    return log2n + constant + periodic_fluctuation(log2n, k_terms)
 
 
 def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
@@ -440,9 +469,7 @@ def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
         TypeError: n is not an integer.
         ValueError: n < 2, or params.k_terms too large to certify.
     """
-    log2n = math.log2(_at_least("n", n, 2))
-    params = params or _DEFAULT_PARAMS
-    return log2n + params.constant + periodic_fluctuation(log2n, params.k_terms)
+    return _asymptotic(math.log2(_at_least("n", n, 2)), params)
 
 
 class CostBreakdown(NamedTuple):
@@ -457,9 +484,21 @@ class CostBreakdown(NamedTuple):
 
 
 def cost_breakdown(n: int, params: AsymptoticParams | None = None) -> CostBreakdown:
-    """Assemble the cost table row for one n (asymptotic needs n >= 2)."""
-    u = exact_cost(n)
+    """Assemble the cost table row for one n.
+
+    Every field is the value its standalone call returns: the int n,
+    exact_cost(n), math.log2(n), their difference, and
+    asymptotic_cost(n, params).  n is validated once and its log2 taken
+    once.
+
+    Raises:
+        TypeError: n is not an integer (exact_cost's guard).
+        ValueError: n < 1 (exact_cost's guard), or params.k_terms too
+            large to certify.  n = 1 is no error: its asymptotic field is
+            None, since the smooth approximation needs n >= 2.
+    """
+    n = _at_least("n", n, 1)
+    u = _exact_cost(n)
     log2n = math.log2(n)
-    asym = asymptotic_cost(n, params) if n >= 2 else None
-    return CostBreakdown(n=n, exact_cost=u, log2n=log2n, toll=u - log2n,
-                         asymptotic=asym)
+    asym = _asymptotic(log2n, params) if n > 1 else None
+    return tuple.__new__(CostBreakdown, (n, u, log2n, u - log2n, asym))

@@ -386,11 +386,56 @@ def test_uncertifiable_terms_fail_on_the_first_zeta(monkeypatch):
 # ------------------------------------------------------------- breakdown
 
 
+class Index:
+    """An integer by ``__index__`` alone: it neither compares nor
+    subtracts."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_cost_breakdown_consistency():
-    row = cost_breakdown(100)
-    assert isinstance(row, CostBreakdown)
-    assert row.n == 100
-    assert row.exact_cost == pytest.approx(row.log2n + row.toll, abs=1e-12)
-    assert row.asymptotic == pytest.approx(asymptotic_cost(100), abs=1e-15)
-    assert cost_breakdown(1).asymptotic is None
-    assert cost_breakdown(1).toll == 0.0
+    # every field is the double its standalone call returns, to the last
+    # bit: short n, n > 2**40, powers of two, n = 1, an __index__ integer,
+    # and non-default parameters
+    k3 = AsymptoticParams(k_terms=3, gamma=0.5)
+    for n in [1, 2, 3, 5, 7, 100, 729, 1000, 19999, 2 ** 40 + 1, 3 ** 39,
+              2 ** 61 - 1, 10 ** 18 + 9, 4, 1024, 2 ** 41, 2 ** 62]:
+        for params in (None, k3):
+            for arg in (n, Index(n)):
+                row = cost_breakdown(arg, params)
+                assert isinstance(row, CostBreakdown)
+                assert type(row.n) is int and row.n == n
+                assert row.exact_cost == exact_cost(n)
+                assert row.log2n == math.log2(n)
+                assert row.toll == exact_cost(n) - math.log2(n) == toll(n)
+                if n == 1:
+                    assert row.asymptotic is None
+                else:
+                    assert row.asymptotic == asymptotic_cost(n, params)
+    assert cost_breakdown(1) == (1, 0.0, 0.0, 0.0, None)
+    assert cost_breakdown(1024).toll == 0.0
+
+
+def test_cost_breakdown_validation():
+    for n, error in ((0, ValueError), (-5, ValueError), (2.0, TypeError),
+                     ("7", TypeError), (None, TypeError)):
+        with pytest.raises(error):
+            cost_breakdown(n)
+    with pytest.raises(ValueError, match="cannot certify"):
+        cost_breakdown(3, AsymptoticParams(k_terms=601))
+
+
+def test_huge_n_stays_finite():
+    # far past the largest double: the certified series never forms a
+    # double of n, 2**terms or the scale, so the cost stays finite, the
+    # toll stays in [0, 2], and doubling n adds exactly one bit
+    n = 3 ** 700
+    u = exact_cost(n)
+    assert math.isfinite(u)
+    assert u == 1110.7993928770643
+    assert 0.0 <= toll(n) <= 2.0
+    assert exact_cost(2 * n) == u + 1
