@@ -1,12 +1,16 @@
+import itertools
 import time
+from fractions import Fraction
 
 import numpy
 import pytest
 
 from fastdice import (BatchPlan, BufferedWordSource, FastdiceError, Overflow,
-                      RangeTooLarge, ScriptedBitSource, ScriptExhausted,
-                      auto_batch_size, batch_cost, batch_uniform, check_range,
-                      fdr_uniform, plan_batch)
+                      RangeTooLarge, ScriptedBitSource, auto_batch_size,
+                      batch_cost, batch_uniform, check_range, fdr_uniform,
+                      plan_batch)
+
+from conftest import law, mass, walk
 
 
 def test_plan_examples():
@@ -114,27 +118,30 @@ def test_base2_digits_equal_raw_bits():
 def test_decomposition_bijective():
     # all 9 master values of plan(3,2) give all 9 digit pairs exactly once
     plan = plan_batch(3, 2)
+    leaves, _ = walk(lambda s: fdr_uniform(s, 9).value, 16)
     seen = set()
     for y in range(9):
-        bits = find_bits_for(9, y)
+        # the shortest bit string making fdr_uniform(9) return y
+        bits = min((p for p, value in leaves.items() if value == y), key=len)
         pair = tuple(batch_uniform(ScriptedBitSource(bits), plan))
         assert pair == (y // 3, y % 3)  # first digit is most significant
         seen.add(pair)
     assert seen == {(a, b) for a in range(3) for b in range(3)}
 
 
-def find_bits_for(n, target, depth=16):
-    """Shortest bit string making fdr_uniform(n) return target."""
-    for length in range(1, depth + 1):
-        for x in range(1 << length):
-            bits = [(x >> (length - 1 - i)) & 1 for i in range(length)]
-            try:
-                value, used = fdr_uniform(ScriptedBitSource(bits), n)
-            except ScriptExhausted:
-                continue
-            if used == length and value == target:
-                return bits
-    raise AssertionError("no bit string found")
+@pytest.mark.parametrize("n, j", [(3, 3), (5, 2), (6, 2), (7, 2), (2, 5),
+                                  (3, 4)])
+def test_batch_is_exactly_uniform(n, j):
+    # To depth 48 every tuple of j digits has the same mass, and the open
+    # prefixes hold the master draw's undecided mass, r / 2**48 with
+    # r = 2**48 mod n**j.
+    depth = 48
+    plan = plan_batch(n, j)
+    leaves, open_ = walk(lambda s: tuple(batch_uniform(s, plan)), depth)
+    undecided = Fraction(pow(2, depth, n ** j), 1 << depth)
+    assert mass(open_) == undecided
+    assert law(leaves) == dict.fromkeys(
+        itertools.product(range(n), repeat=j), (1 - undecided) / n ** j)
 
 
 def test_round_trip_recomposition():

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from fastdice import (BufferedWordSource, ImproperFraction, Rational,
-                      ScriptedBitSource, ScriptExhausted, bernoulli_rational,
+                      ScriptedBitSource, bernoulli_rational,
                       binary_expansion)
+
+from conftest import bernoulli_biases, law, walk
 
 
 def test_expansion_one_fifth():
@@ -90,30 +92,25 @@ def test_denominator_guard():
         bernoulli_rational(ScriptedBitSource([1]), Rational(1, (1 << 62) + 1))
 
 
-def enumerate_true_mass(p, depth):
-    """Exact P(return 1) over all 2^depth flip strings, plus unresolved count."""
-    ones = 0
-    unresolved = 0
-    for x in range(1 << depth):
-        bits = [(x >> (depth - 1 - i)) & 1 for i in range(depth)]
-        src = ScriptedBitSource(bits)
-        try:
-            ones += bernoulli_rational(src, p)
-        except ScriptExhausted:
-            unresolved += 1
-    return Fraction(ones, 1 << depth), unresolved
-
-
 def test_exact_acceptance_probability():
-    # full enumeration to depth 16: the only unresolved string is all-zero
-    # flips, so P(1) matches p within exactly 2^-16
-    depth = 16
-    for num, den in [(1, 3), (2, 5), (3, 7), (7, 16), (1, 2), (5, 11)]:
-        p = Rational(num, den)
-        mass, unresolved = enumerate_true_mass(p, depth)
-        assert unresolved == 1
-        target = Fraction(num, den)
-        assert abs(target - mass) <= Fraction(1, 2 ** depth)
+    # The walk to depth 200 has one leaf at each length k, 0^(k-1) 1, of
+    # mass 2**-k, and one open prefix, all zeros, of mass 2**-200.  P(1)
+    # is then p cut to 200 binary digits, exactly, which holds only if
+    # each leaf holds its expansion bit.
+    depth = 200
+    biases = [Rational(num, den) for num, den in
+              [(1, 3), (2, 5), (3, 7), (7, 16), (1, 2), (5, 11)]]
+    for p in biases + bernoulli_biases():
+        leaves, open_ = walk(lambda s: bernoulli_rational(s, p), depth)
+        if p.num in (0, p.den):  # decided before any flip
+            assert (leaves, open_) == ({(): p.num // p.den}, [])
+            continue
+        assert open_ == [(0,) * depth]
+        assert sorted(leaves, key=len) == [(0,) * (k - 1) + (1,)
+                                           for k in range(1, depth + 1)]
+        ones = law(leaves).get(1, 0)
+        assert ones == Fraction((p.num << depth) // p.den, 1 << depth)
+        assert 0 <= Fraction(p.num, p.den) - ones <= Fraction(1, 1 << depth)
 
 
 def test_decision_bit_is_expansion_bit():

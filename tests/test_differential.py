@@ -5,12 +5,14 @@ per-step loops the library's bulk-reading samplers replaced.  They read
 only through ``next_bit``, so they fix the flip stream a draw must
 consume: the library must return the same value, report the same
 ``bits_used`` and leave the source in the same state (bits consumed,
-words fetched, script cursor), draw after draw, and must raise
-ScriptExhausted on exactly the bit strings where the reference does.
+words fetched, script cursor), draw after draw.  On scripted flips both
+must have the same decision tree: the same leaves with the same results,
+and at every node the same outcome, a return or ScriptExhausted with the
+same script state and message.
 The sequence kernel ``core._fdr_each`` must equal one reference draw per
-size, in order, the same way.  With the flip cap lowered, every draw that
-returns must still equal the reference's, and a raise is allowed only
-where the reference reads past the cap.
+size, in order, the same way.  With the flip cap lowered, the library's
+tree must be the reference's, with a raise in place of each node the
+reference has not decided at its first decision past the cap.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
@@ -44,6 +46,8 @@ from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
                       random_permutation_unranked)
 from fastdice import core, cost
 from fastdice.cli import _PERM_ROUTES
+
+from conftest import bernoulli_biases, law, returning_errors, walk
 
 
 def reference_fdr_uniform(source, n):
@@ -198,48 +202,30 @@ def test_fdr_each_bad_size_raises_like_check_range():
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_flip_cap_keeps_returned_draws_exact(n, monkeypatch):
-    # With the cap at 8 flips, a draw reads at most 8 + 3 < 14 flips, so
-    # every 14-flip script either returns what the uncapped reference
-    # returns or raises, and raises only where the reference reads more
-    # than 8 flips (or more than the script holds).  Every value then
-    # collects the same number of scripts, the same mass, and the raises
-    # stay within the reference's undecided mass after 8 flips,
-    # (2**8 mod n) / 2**8.
-    cap, depth = 8, 14
+    # With the cap at 8 flips, a draw raises at its first rejection past
+    # the cap, at the reference's first decision past it, flip t <= 11,
+    # and no prefix stays open.  The capped tree is the reference's tree
+    # to depth t with each of its open prefixes turned into a raise: every
+    # draw that returns is the reference's, every value has the same
+    # mass, and the raises hold exactly the reference's undecided mass
+    # after t flips, (2**t mod n) / 2**t.
+    cap = 8
     monkeypatch.setattr(core, "_MAX_FLIPS", cap)
-    counts = [0] * n
-    raised = 0
-    for x in range(1 << depth):
-        bits = [(x >> (depth - 1 - i)) & 1 for i in range(depth)]
-        try:
-            ref = reference_fdr_uniform(ScriptedBitSource(bits), n)
-        except ScriptExhausted:
-            ref = None
-        try:
-            got = fdr_uniform(ScriptedBitSource(bits), n)
-        except FastdiceError as exc:
-            assert type(exc) is FastdiceError  # the cap, not the script
-            assert ref is None or ref.bits_used > cap
-            raised += 1
-            continue
-        assert got == ref
-        counts[got.value] += 1
-    assert counts == [counts[0]] * n
-    assert 0 < raised <= (1 << cap) % n << (depth - cap)
-    assert n * counts[0] + raised == 1 << depth
-
-
-def bernoulli_biases():
-    rng = random.Random(5)
-    top = 1 << 62
-    out = [Rational(0, 1), Rational(0, 7), Rational(1, 1), Rational(9, 9),
-           Rational(1, 2), Rational(1, 3), Rational(2, 5), Rational(5, 7),
-           Rational(3, 8), Rational(999, 1000), Rational(top // 3, top),
-           Rational(1, top - 1), Rational(top - 2, top - 1)]
-    for _ in range(6):
-        den = rng.randint(top - (1 << 20), top)
-        out.append(Rational(rng.randint(0, den), den))
-    return out
+    leaves, open_ = walk(returning_errors(lambda s: fdr_uniform(s, n)), 64)
+    assert open_ == []
+    raised = [p for p, got in leaves.items() if type(got) is not FdrOutcome]
+    assert raised and all(type(leaves[p]) is FastdiceError for p in raised)
+    t = len(raised[0])
+    ref_leaves, ref_open = walk(lambda s: reference_fdr_uniform(s, n), t)
+    assert raised == ref_open
+    returned = {p: got for p, got in leaves.items()
+                if type(got) is FdrOutcome}
+    assert returned == ref_leaves
+    decisions = {len(p) for p in ref_leaves}
+    assert t > cap and t in decisions
+    assert decisions.isdisjoint(range(cap + 1, t))
+    values = law({p: got.value for p, got in returned.items()})
+    assert len(values) == n and len(set(values.values())) == 1
 
 
 @pytest.mark.parametrize("p", bernoulli_biases(),
@@ -299,17 +285,21 @@ def outcome(draw, bits):
     return result, src.remaining, src.bits_consumed()
 
 
-def strings(depth):
-    return ([(x >> (depth - 1 - i)) & 1 for i in range(depth)]
-            for x in range(1 << depth))
+def assert_same_tree(draw, reference, depth):
+    """The two draws have the same decision tree to ``depth`` and the same
+    outcome at every node of it.  A script that runs on past a leaf is
+    decided at the leaf, so this covers every script."""
+    tree = walk(draw, depth)
+    assert tree == walk(reference, depth)
+    leaves, open_ = tree
+    for node in {p[:k] for p in [*leaves, *open_] for k in range(len(p) + 1)}:
+        assert outcome(draw, node) == outcome(reference, node)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_uniform_exhaustion_matches_reference(n):
-    for length in (12, 0, 1, 2):
-        for bits in strings(length):
-            assert (outcome(lambda s: fdr_uniform(s, n), bits)
-                    == outcome(lambda s: reference_fdr_uniform(s, n), bits))
+    assert_same_tree(lambda s: fdr_uniform(s, n),
+                     lambda s: reference_fdr_uniform(s, n), 64)
 
 
 def test_fdr_each_exhaustion_matches_reference():
@@ -331,10 +321,8 @@ def test_fdr_each_exhaustion_matches_reference():
                                Rational((1 << 62) // 3, (1 << 62) - 1)],
                          ids=lambda p: f"{p.num}/{p.den}")
 def test_bernoulli_exhaustion_matches_reference(p):
-    for length in (16, 0, 1):
-        for bits in strings(length):
-            assert (outcome(lambda s: bernoulli_rational(s, p), bits)
-                    == outcome(lambda s: reference_bernoulli(s, p), bits))
+    assert_same_tree(lambda s: bernoulli_rational(s, p),
+                     lambda s: reference_bernoulli(s, p), 200)
 
 
 def reference_horner(r, mod, terms):
@@ -586,6 +574,17 @@ def test_factorial_base_matches_reference():
         assert code == reference_factorial_decompose(rank)
         assert factorial_compose(code) == reference_factorial_compose(code)
         assert factorial_compose(code) == rank
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_permutation_routes_are_exactly_uniform(route):
+    # To depth 40, each of the n! results of a route holds the same mass.
+    draw = ROUTES[route][0]
+    for n in range(6):
+        leaves, _ = walk(lambda s: tuple(draw(s, n)), 40)
+        masses = law(leaves)
+        assert len(masses) == math.factorial(n)
+        assert len(set(masses.values())) == 1
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))

@@ -1,15 +1,19 @@
+import itertools
 import signal
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fastdice import (BufferedWordSource, EmptyRange, FastdiceError,
-                      RangeTooLarge, ScriptExhausted, ScriptedBitSource,
+                      RangeTooLarge, ScriptedBitSource,
                       batch_uniform, exact_cost, fdr_uniform,
                       fdr_uniform_range, fisher_yates, plan_batch,
                       random_permutation_unranked)
 from fastdice import core
 from fastdice.core import _fdr, _fdr_each
+
+from conftest import law, mass, returning_errors, walk
 
 
 def draw(n, bits):
@@ -146,35 +150,42 @@ def test_a_first_read_accept_runs_no_cap_check(monkeypatch):
     assert src.bits_consumed() == 3
 
 
-def enumerate_masses(n, depth):
-    """Probability mass each outcome collects over all bit strings of the
-    given length, plus the mass of strings that never terminate.  Every
-    full string is weighted 2**-depth; strings sharing a terminating
-    prefix aggregate to that prefix's 2**-length."""
-    masses = {k: Fraction(0) for k in range(n)}
-    unterminated = Fraction(0)
-    for x in range(1 << depth):
-        bits = [(x >> (depth - 1 - i)) & 1 for i in range(depth)]
-        src = ScriptedBitSource(bits)
-        try:
-            value, _ = fdr_uniform(src, n)
-        except ScriptExhausted:
-            unterminated += Fraction(1, 1 << depth)
-            continue
-        masses[value] += Fraction(1, 1 << depth)
-    return masses, unterminated
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_flip_cap_keeps_fisher_yates_exact(n, monkeypatch):
+    # The sequence kernel's digits share _fdr's recycle loop and its cap.
+    # With the cap at 6 flips every digit's draw ends within 8 flips, so
+    # the walk leaves nothing open, and the permutations that return are
+    # still all equally likely.
+    monkeypatch.setattr(core, "_MAX_FLIPS", 6)
+    leaves, open_ = walk(
+        returning_errors(lambda s: tuple(fisher_yates(s, n))), 64)
+    assert open_ == [] and mass(leaves) == 1
+    perms = law({prefix: result for prefix, result in leaves.items()
+                 if type(result) is tuple})
+    assert perms.keys() == set(itertools.permutations(range(1, n + 1)))
+    assert len(set(perms.values())) == 1
+    assert all(type(result) is FastdiceError for result in leaves.values()
+               if type(result) is not tuple)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 6, 7])
+@pytest.mark.parametrize("n", range(1, 65))
 def test_exhaustive_small_n_uniformity(n):
-    masses, unterminated = enumerate_masses(n, 12)
-    # termination probability per block of floor(log2 n)+1 levels
-    # exceeds 1/2, bounding the leftover mass
-    blocks = 12 // (n.bit_length())
-    assert unterminated < Fraction(1, 2) ** blocks
-    for k in range(n):
-        gap = Fraction(1, n) - masses[k]
-        assert 0 <= gap <= unterminated
+    # The exact flip law to depth 64.  After k flips the range still
+    # undecided has size r_k = 2**k mod n and mass u_k = r_k / 2**k, so the
+    # leaves of length k hold u_(k-1) - u_k (u_(-1) = 1), each reporting k
+    # flips, the open prefixes hold u_64, and every value holds an equal
+    # share of the rest.
+    depth = 64
+    leaves, open_ = walk(lambda s: fdr_uniform(s, n), depth)
+    undecided = [Fraction(pow(2, k, n), 1 << k) for k in range(depth + 1)]
+    assert mass(open_) == undecided[depth]
+    assert (law({prefix: out.value for prefix, out in leaves.items()})
+            == dict.fromkeys(range(n), (1 - undecided[depth]) / n))
+    assert all(out.bits_used == len(prefix)
+               for prefix, out in leaves.items())
+    count = Counter(map(len, leaves))
+    for k, before in enumerate([Fraction(1), *undecided[:-1]]):
+        assert Fraction(count[k], 1 << k) == before - undecided[k]
 
 
 @pytest.mark.parametrize("m", range(1, 13))

@@ -5,10 +5,12 @@ import pytest
 
 from fastdice import (BufferedWordSource, DigitOutOfRange, FactorialOverflow,
                       LehmerCode, Rank, RankOutOfRange, ScriptedBitSource,
-                      factorial_compose, factorial_decompose, fisher_yates,
-                      inversion_count, lehmer_to_permutation_fy,
+                      factorial_compose, factorial_decompose, fdr_uniform,
+                      fisher_yates, inversion_count, lehmer_to_permutation_fy,
                       lehmer_to_permutation_selection,
                       random_permutation_unranked)
+
+from conftest import walk
 
 
 def all_codes(n):
@@ -149,10 +151,23 @@ def test_unranked_matches_rank_pipeline():
     # draw and bijection by hand
     for seed in range(10):
         perm = random_permutation_unranked(BufferedWordSource(seed), 5)
-        from fastdice import fdr_uniform
         u = fdr_uniform(BufferedWordSource(seed), 120).value
         expected = lehmer_to_permutation_fy(factorial_decompose(Rank(u, 5)))
         assert perm == expected
+
+
+def test_unranked_flip_law_is_fdr_uniform_on_n_factorial():
+    # The rank draw is the only one, so the tree is fdr_uniform(n!)'s,
+    # leaf for leaf, with each rank's permutation at its leaves.
+    for n in range(6):
+        leaves, open_ = walk(
+            lambda s: random_permutation_unranked(s, n), 40)
+        ranks, rank_open = walk(
+            lambda s: fdr_uniform(s, math.factorial(n)).value, 40)
+        assert open_ == rank_open
+        assert leaves == {
+            p: lehmer_to_permutation_fy(factorial_decompose(Rank(u, n)))
+            for p, u in ranks.items()}
 
 
 def test_unranked_uniform_smoke():
