@@ -7,7 +7,7 @@ the line Re(s)=1 reproduce u(n) closely away from the jumps.
 
 import math
 
-from fastdice import (AsymptoticParams, asymptotic_cost, exact_cost,
+from fastdice import (EULER_GAMMA, asymptotic_cost, exact_cost,
                       exact_cost_rational, toll, zeta_complex)
 
 print("   n      u(n)       log2(n)    toll      smooth")
@@ -18,8 +18,8 @@ for n in (2, 3, 4, 5, 8, 9, 16, 100, 729, 1000, 1024):
 print(f"\nexact rationals: u(3) = {exact_cost_rational(3)}, "
       f"u(5) = {exact_cost_rational(5)}, u(100) = {exact_cost_rational(100)}")
 
-params = AsymptoticParams()
-print(f"constant term 1/2 + (1 - gamma)/ln2 = {params.constant:.12f}")
+constant = 0.5 + (1.0 - EULER_GAMMA) / math.log(2.0)
+print(f"constant term 1/2 + (1 - gamma)/ln2 = {constant:.12f}")
 
 s = complex(1.0, 2.0 * math.pi / math.log(2.0))
 print(f"first fluctuation frequency needs zeta({s.real:g} + {s.imag:.4f}i) "

@@ -29,8 +29,8 @@ from .permutation import (LehmerCode, MAX_UNRANK_SIZE, Rank,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticParams", "BatchPlan", "BufferedWordSource", "CostBreakdown",
-    "DigitOutOfRange", "EULER_GAMMA", "EmptyRange", "FactorialOverflow",
+    "BatchPlan", "BufferedWordSource", "CostBreakdown", "DigitOutOfRange",
+    "EULER_GAMMA", "EmptyRange", "FactorialOverflow",
     "FastdiceError", "FdrOutcome", "ImproperFraction", "LehmerCode",
     "MAX_DENOMINATOR", "MAX_UNIFORM_RANGE", "MAX_UNRANK_SIZE", "Overflow",
     "PoleAtOne", "RandomBitSource", "RangeTooLarge", "Rank", "RankOutOfRange",

@@ -207,22 +207,21 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
 
 
 def cmd_cost(args: argparse.Namespace) -> int:
-    from .cost import (AsymptoticParams, asymptotic_cost, batch_cost,
-                       cost_breakdown)
+    from .cost import asymptotic_cost, batch_cost, cost_breakdown
     if args.n_min < 2:
         raise FastdiceError("--n-min must be >= 2")
     if args.n_min > args.n_max:
         raise FastdiceError("--n-min must not exceed --n-max")
     if args.batch is not None:
         plan_batch(args.n_max, args.batch)  # the largest n**J, before any row
-    params = AsymptoticParams(k_terms=args.asymptotic)
-    asymptotic_cost(args.n_min, params)  # the K coefficients, before any row
+    # the K coefficients, before any row
+    asymptotic_cost(args.n_min, args.asymptotic)
     header = "n,u_exact,log2n,toll,u_asymptotic"
     if args.batch is not None:
         header += ",u_batch"
     print(header)
     for n in range(args.n_min, args.n_max + 1):
-        row = cost_breakdown(n, params)
+        row = cost_breakdown(n, args.asymptotic)
         cells = [str(n), _real(row.exact_cost), _real(row.log2n),
                  _real(row.toll), _real(row.asymptotic)]
         if args.batch is not None:

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .batch import plan_batch
 from .bernoulli import Rational
-from .errors import PoleAtOne, _at_least, _Record
+from .errors import PoleAtOne, _at_least
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -297,34 +296,34 @@ def _em_remainder_bound(s: complex, n_direct: int) -> float:
     return omitted * abs(s + two_r + 1) / (s.real + two_r + 1)
 
 
-def zeta_complex(s: complex, target_error: float = 1e-12,
-                 min_direct_terms: int = 0) -> complex:
+def zeta_complex(s: complex, target_error: float = 1e-12) -> complex:
     """Riemann zeta on Re(s) > 0 by Euler-Maclaurin summation.
 
-    Direct terms up to an N chosen so the explicit remainder bound drops
-    under target_error, then the integral term, the half term, and
-    Bernoulli corrections through B_12.  min_direct_terms can force a
-    larger N, e.g. to check one truncation against another.
+    Direct terms up to the first N on a ladder from 50 to 6400 whose
+    explicit remainder bound is under target_error, then the integral
+    term, the half term, and Bernoulli corrections through B_12.
 
     Raises:
-        TypeError: min_direct_terms is not an integer.
+        TypeError: s is a string (``complex`` would parse it) or not a
+            number.
         PoleAtOne: s = 1.
-        ValueError: min_direct_terms < 0 or above 6400, Re(s) <= 0, or
+        ValueError: s is too large for a double, Re(s) <= 0, or
             target_error unreachable in doubles.
     """
-    s = complex(s)
-    min_direct_terms = _at_least("min_direct_terms", min_direct_terms, 0)
+    if isinstance(s, str):
+        raise TypeError("need a number s, got str")
+    try:
+        s = complex(s)
+    except OverflowError:  # a number past the largest double
+        raise ValueError("s is too large for a double") from None
     if s == 1:
         raise PoleAtOne("zeta has its pole at s = 1")
     if s.real <= 0:
         raise ValueError(f"need Re(s) > 0, got {s}")
     for n_direct in (50, 100, 200, 400, 800, 1600, 3200, 6400):
-        if n_direct >= min_direct_terms and \
-                _em_remainder_bound(s, n_direct) <= target_error:
+        if _em_remainder_bound(s, n_direct) <= target_error:
             break
     else:
-        if min_direct_terms > n_direct:
-            raise ValueError(f"need min_direct_terms <= {n_direct}")
         raise ValueError(f"cannot certify error {target_error} at {s}")
 
     total = complex(0.0)
@@ -343,54 +342,8 @@ def zeta_complex(s: complex, target_error: float = 1e-12,
     return total
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float, if it is a finite real number.
-
-    Raises:
-        TypeError: value is a string or bytes, or ``float`` refuses it.
-        ValueError: value is NaN or infinite, as
-            ``need a finite {name}, got {float(value)}``.
-    """
-    try:
-        if isinstance(value, (str, bytes, bytearray)):
-            raise TypeError  # float() would parse them
-        x = float(value)
-    except TypeError:
-        raise TypeError(f"need a real {name}, got {type(value).__name__}") \
-            from None
-    except OverflowError:  # an integer past the largest double
-        x = math.inf if value > 0 else -math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"need a finite {name}, got {x}")
-    return x
-
-
-class AsymptoticParams(_Record,
-                       namedtuple("AsymptoticParams", "k_terms gamma")):
-    """Parameters of the smooth approximation to u(n).  k_terms is
-    stored as an int, gamma as a float.
-
-    Raises:
-        TypeError: k_terms is not an integer, or gamma is not a real
-            number (a string, bytes, None, or anything ``float`` refuses).
-        ValueError: k_terms < 1, or gamma is NaN or infinite.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, k_terms: int = 12, gamma: float = EULER_GAMMA):
-        return tuple.__new__(cls, (_at_least("k_terms", k_terms, 1),
-                                   _finite("gamma", gamma)))
-
-    @property
-    def constant(self) -> float:
-        """The n-free term 1/2 + 1/ln2 - gamma/ln2 (about 1.10995)."""
-        return 0.5 + (1.0 - self.gamma) / LN2
-
-
-_DEFAULT_PARAMS = AsymptoticParams()
-_DEFAULT_CONSTANT = _DEFAULT_PARAMS.constant
-_DEFAULT_K_TERMS = _DEFAULT_PARAMS.k_terms
+# The n-free term 1/2 + 1/ln2 - gamma/ln2 (about 1.10995).
+_CONSTANT = 0.5 + (1.0 - EULER_GAMMA) / LN2
 
 
 @lru_cache(maxsize=None)
@@ -449,32 +402,29 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     return -total / LN2
 
 
-def _asymptotic(log2n: float, params: AsymptoticParams | None) -> float:
+def _asymptotic(log2n: float, k_terms: int) -> float:
     """log2n + constant + P(log2n), for a log2n the caller has taken."""
-    if params is None:  # the default constant is read once, at import
-        constant, k_terms = _DEFAULT_CONSTANT, _DEFAULT_K_TERMS
-    else:
-        constant, k_terms = params.constant, params.k_terms
-    return log2n + constant + periodic_fluctuation(log2n, k_terms)
+    return log2n + _CONSTANT + periodic_fluctuation(log2n, k_terms)
 
 
-def asymptotic_cost(n: int, params: AsymptoticParams | None = None) -> float:
-    """Smooth approximation log2(n) + constant + P(log2 n).
+def asymptotic_cost(n: int, k_terms: int = 12) -> float:
+    """Smooth approximation log2(n) + constant + P(log2 n), P truncated
+    to k_terms Fourier pairs.
 
     Good uniformly in n except at the sawtooth jumps (powers of two),
     where a truncated Fourier series necessarily lands near the jump
     midpoint instead of the exact toll 0.
 
     Raises:
-        TypeError: n is not an integer.
-        ValueError: n < 2, or params.k_terms too large to certify.
+        TypeError: n or k_terms is not an integer.
+        ValueError: n < 2, k_terms < 1, or k_terms too large to certify.
     """
-    return _asymptotic(math.log2(_at_least("n", n, 2)), params)
+    return _asymptotic(math.log2(_at_least("n", n, 2)), k_terms)
 
 
 class CostBreakdown(NamedTuple):
-    """One row of the cost table: u(n) split into floor, toll, and the
-    smooth approximation when requested."""
+    """One row of the cost table: u(n) split into floor and toll, with
+    the smooth approximation, which is None only at n = 1."""
 
     n: int
     exact_cost: float
@@ -483,22 +433,27 @@ class CostBreakdown(NamedTuple):
     asymptotic: float | None = None
 
 
-def cost_breakdown(n: int, params: AsymptoticParams | None = None) -> CostBreakdown:
+def cost_breakdown(n: int, k_terms: int = 12) -> CostBreakdown:
     """Assemble the cost table row for one n.
 
     Every field is the value its standalone call returns: the int n,
     exact_cost(n), math.log2(n), their difference, and
-    asymptotic_cost(n, params).  n is validated once and its log2 taken
+    asymptotic_cost(n, k_terms).  n is validated once and its log2 taken
     once.
 
     Raises:
-        TypeError: n is not an integer (exact_cost's guard).
-        ValueError: n < 1 (exact_cost's guard), or params.k_terms too
-            large to certify.  n = 1 is no error: its asymptotic field is
-            None, since the smooth approximation needs n >= 2.
+        TypeError: n or k_terms is not an integer.
+        ValueError: n < 1, k_terms < 1, or k_terms too large to certify.
+            n = 1 is no error: its asymptotic field is None, since the
+            smooth approximation needs n >= 2, but k_terms is still
+            checked.
     """
     n = _at_least("n", n, 1)
     u = _exact_cost(n)
     log2n = math.log2(n)
-    asym = _asymptotic(log2n, params) if n > 1 else None
+    if n == 1:  # no fluctuation to compute, but k_terms is still checked
+        _at_least("k_terms", k_terms, 1)
+        asym = None
+    else:
+        asym = _asymptotic(log2n, k_terms)
     return tuple.__new__(CostBreakdown, (n, u, log2n, u - log2n, asym))

@@ -8,10 +8,10 @@ and ``cost`` all go through it.  An integer means anything with
 ``Decimal``, a string) raises ``TypeError`` from ``operator.index``
 before any flip is read.
 
-The validating records (``LehmerCode``, ``Rank``, ``BatchPlan`` and
-``AsymptoticParams``) are ``namedtuple`` subclasses that check their
-fields in ``__new__``; each also inherits ``_Record``, so that
-``_replace`` builds through that ``__new__`` and validates too.
+The validating records (``LehmerCode``, ``Rank`` and ``BatchPlan``)
+are ``namedtuple`` subclasses that check their fields in ``__new__``;
+each also inherits ``_Record``, so that ``_replace`` builds through
+that ``__new__`` and validates too.
 """
 
 from operator import index

@@ -14,15 +14,14 @@ from fractions import Fraction
 
 from scipy.stats import chi2
 
-from fastdice import (AsymptoticParams, BufferedWordSource, FactorialOverflow,
-                      LehmerCode, Rank, Rational, ScriptedBitSource,
-                      ScriptExhausted, asymptotic_cost, batch_cost,
-                      bernoulli_rational, cost_partial_sum, exact_cost,
-                      exact_cost_rational, factorial_compose,
-                      factorial_decompose, fdr_uniform, inversion_count,
-                      lehmer_to_permutation_fy,
+from fastdice import (BufferedWordSource, FactorialOverflow, LehmerCode,
+                      Rank, Rational, ScriptedBitSource, ScriptExhausted,
+                      asymptotic_cost, batch_cost, bernoulli_rational,
+                      cost_partial_sum, exact_cost, exact_cost_rational,
+                      factorial_compose, factorial_decompose, fdr_uniform,
+                      inversion_count, lehmer_to_permutation_fy,
                       lehmer_to_permutation_selection, nu_exact,
-                      random_permutation_unranked, toll)
+                      periodic_fluctuation, random_permutation_unranked, toll)
 from fastdice.batch import batch_uniform, plan_batch
 
 import itertools
@@ -183,7 +182,9 @@ def test_criterion_08_asymptotic_formula():
         d = abs(asymptotic_cost(n) - exact_cost(n))
         if d > worst:
             worst, argmax = d, n
-    const = AsymptoticParams().constant
+    # the n-free term the formula adds to log2 n and the fluctuation
+    x = math.log2(3)
+    const = asymptotic_cost(3) - x - periodic_fluctuation(x)
     const_gap = abs(const - CONSTANT_TERM)
     ok = worst <= ASYMPTOTIC_MAX_DEVIATION and const_gap < 1e-9
     verdict(8, "asymptotic formula", ok,

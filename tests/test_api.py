@@ -2,21 +2,18 @@
 classes' repr, equality, hashing, immutability and validation."""
 
 import copy
-import math
 import pickle
 import re
 import subprocess
 import sys
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fastdice
-from fastdice import (AsymptoticParams, BatchPlan, CostBreakdown,
-                      DigitOutOfRange, FdrOutcome, LehmerCode, Rank,
-                      RankOutOfRange, Rational, ScriptedBitSource, fdr_uniform,
+from fastdice import (BatchPlan, CostBreakdown, DigitOutOfRange, FdrOutcome,
+                      LehmerCode, Rank, RankOutOfRange, Rational,
+                      ScriptedBitSource, cost_breakdown, fdr_uniform,
                       plan_batch)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -47,7 +44,7 @@ def test_star_import_binds_every_public_name():
     assert set(fastdice.__all__) <= namespace.keys()
     assert set(fastdice.__all__) <= set(dir(fastdice))
     assert fastdice.exact_cost is fastdice.cost.exact_cost
-    assert namespace["AsymptoticParams"] is fastdice.cost.AsymptoticParams
+    assert namespace["CostBreakdown"] is fastdice.cost.CostBreakdown
 
 
 def test_unknown_name_is_still_an_attribute_error():
@@ -65,9 +62,6 @@ VALUES = [
      LehmerCode(digits=(2, 1, 0)), LehmerCode((2, 0, 0)), "digits"),
     (Rank(23, 4), "Rank(value=23, n=4)", Rank(value=23, n=4), Rank(23, 5),
      "n"),
-    (AsymptoticParams(), "AsymptoticParams(k_terms=12, "
-     "gamma=0.5772156649015329)", AsymptoticParams(12), AsymptoticParams(3),
-     "gamma"),
     (CostBreakdown(4, 2.0, 2.0, 0.0), "CostBreakdown(n=4, exact_cost=2.0, "
      "log2n=2.0, toll=0.0, asymptotic=None)",
      CostBreakdown(n=4, exact_cost=2.0, log2n=2.0, toll=0.0, asymptotic=None),
@@ -113,7 +107,7 @@ def test_rational_is_a_record_not_a_tuple():
 
 
 @pytest.mark.parametrize("record", [
-    LehmerCode((1, 0)), Rank(1, 3), plan_batch(6, 2), AsymptoticParams()],
+    LehmerCode((1, 0)), Rank(1, 3), plan_batch(6, 2)],
     ids=lambda r: type(r).__name__)
 def test_validating_records_are_slotted_tuples(record):
     # The shared _make override adds no instance dict to the records.
@@ -156,41 +150,14 @@ NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
                  NOT_AN_INT % "float", id="BatchPlan-float"),
     pytest.param(lambda: Rank(-1, -1), ValueError, "need n >= 0, got -1",
                  id="Rank-n-before-value"),
-    pytest.param(lambda: AsymptoticParams(k_terms=6.0), TypeError,
+    # K is checked by the cost call that takes it, even at n = 1 where no
+    # fluctuation is summed; the ids keep the name of the record that once
+    # held K.
+    pytest.param(lambda: cost_breakdown(1, 6.0), TypeError,
                  NOT_AN_INT % "float", id="AsymptoticParams-float"),
-    pytest.param(lambda: AsymptoticParams(0), ValueError,
+    pytest.param(lambda: cost_breakdown(1, 0), ValueError,
                  "need k_terms >= 1, got 0", id="AsymptoticParams-zero"),
-    pytest.param(lambda: AsymptoticParams()._replace(k_terms=0), ValueError,
-                 "need k_terms >= 1, got 0", id="AsymptoticParams-replace"),
-    pytest.param(lambda: AsymptoticParams(12, math.nan), ValueError,
-                 "need a finite gamma, got nan", id="AsymptoticParams-nan"),
-    pytest.param(lambda: AsymptoticParams(gamma=-math.inf), ValueError,
-                 "need a finite gamma, got -inf", id="AsymptoticParams-inf"),
-    pytest.param(lambda: AsymptoticParams(12, 10**400), ValueError,
-                 "need a finite gamma, got inf", id="AsymptoticParams-huge"),
-    pytest.param(lambda: AsymptoticParams()._replace(gamma=math.inf),
-                 ValueError, "need a finite gamma, got inf",
-                 id="AsymptoticParams-replace-gamma"),
-    pytest.param(lambda: AsymptoticParams(12, "x"), TypeError,
-                 "need a real gamma, got str", id="AsymptoticParams-str"),
-    pytest.param(lambda: AsymptoticParams(12, "0.5"), TypeError,
-                 "need a real gamma, got str", id="AsymptoticParams-numeric-str"),
-    pytest.param(lambda: AsymptoticParams(12, b"0.5"), TypeError,
-                 "need a real gamma, got bytes", id="AsymptoticParams-bytes"),
-    pytest.param(lambda: AsymptoticParams(12, None), TypeError,
-                 "need a real gamma, got NoneType", id="AsymptoticParams-none"),
-    pytest.param(lambda: AsymptoticParams(12, 1j), TypeError,
-                 "need a real gamma, got complex",
-                 id="AsymptoticParams-complex"),
 ])
 def test_value_class_validation(build, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
-
-
-@pytest.mark.parametrize("gamma", [1, Fraction(1, 2), Decimal("0.25"), 0.5])
-def test_asymptotic_params_store_gamma_as_a_float(gamma):
-    params = AsymptoticParams(12, gamma)
-    assert type(params.gamma) is float and params.gamma == float(gamma)
-    assert params == AsymptoticParams(12, float(gamma))
-

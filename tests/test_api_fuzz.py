@@ -67,23 +67,23 @@ FUZZED = {
     "exact_cost": (fastdice.exact_cost, [H]),
     "toll": (fastdice.toll, [H]),
     "batch_cost": (fastdice.batch_cost, [H, H]),
-    "asymptotic_cost": (fastdice.asymptotic_cost, [H]),
-    "cost_breakdown": (fastdice.cost_breakdown, [H]),
+    "asymptotic_cost": (fastdice.asymptotic_cost, [H, H]),
+    "cost_breakdown": (fastdice.cost_breakdown, [H, H]),
     "periodic_fluctuation": (
         lambda k: fastdice.periodic_fluctuation(0.3, k), [H]),
-    "zeta_complex": (lambda m: fastdice.zeta_complex(2 + 1j, 1e-12, m), [H]),
-    "AsymptoticParams": (fastdice.AsymptoticParams, [H]),
     "CostBreakdown": (lambda n: fastdice.CostBreakdown(n, 1.0, 1.0, 0.0),
                       [H]),
     "FdrOutcome": (fastdice.FdrOutcome, [H, H]),
 }
 # Callables that take no integer: the interfaces, inversion_count, which
-# only compares the items of a sequence, and the routes whose integers
-# arrive in a record that one of the constructors above built.
+# only compares the items of a sequence, zeta_complex, whose s is
+# complex, and the routes whose integers arrive in a record that one of
+# the constructors above built.
 NO_INTEGER = {"RandomBitSource", "WordGenerator", "inversion_count",
-              "batch_uniform", "bernoulli_rational", "factorial_compose",
-              "factorial_decompose", "lehmer_to_permutation_fy",
-              "lehmer_to_permutation_selection", "nu", "nu_exact"}
+              "zeta_complex", "batch_uniform", "bernoulli_rational",
+              "factorial_compose", "factorial_decompose",
+              "lehmer_to_permutation_fy", "lehmer_to_permutation_selection",
+              "nu", "nu_exact"}
 TAKES_SOURCE = {"fdr_uniform", "fdr_uniform_range", "next_bits",
                 "fisher_yates", "random_lehmer_code",
                 "random_permutation_unranked"}

@@ -6,7 +6,7 @@ from functools import lru_cache
 import mpmath
 import pytest
 
-from fastdice import (AsymptoticParams, CostBreakdown, Overflow, PoleAtOne,
+from fastdice import (EULER_GAMMA, CostBreakdown, Overflow, PoleAtOne,
                       Rational, asymptotic_cost, batch_cost, cost_breakdown,
                       cost_partial_sum, exact_cost, exact_cost_rational, nu,
                       nu_exact, periodic_fluctuation, toll, zeta_complex)
@@ -260,10 +260,11 @@ def test_zeta_classical_anchors():
 
 
 def test_zeta_self_consistency_off_axis():
-    # same point, two very different truncations
+    # same point, two very different truncations: 1e-12 is met at the
+    # ladder's first rung, 50 direct terms, and 1e-37 only at 800
     s = complex(1.0, 2.0 * math.pi / LN2)
     a = zeta_complex(s, 1e-12)
-    b = zeta_complex(s, 1e-12, min_direct_terms=800)
+    b = zeta_complex(s, 1e-37)
     assert abs(a - b) < 1e-10
 
 
@@ -283,30 +284,22 @@ def test_zeta_domain_errors():
         zeta_complex(complex(0.0, 3.0))
     with pytest.raises(ValueError):
         zeta_complex(complex(-2.0, 0.0))
-
-
-def test_zeta_names_the_direct_terms_limit():
-    # 1e-12 at s = 2 is reached well below the ladder's top of 6400
-    # direct terms; asking for more is the caller's error, not the bound's
-    assert zeta_complex(2, 1e-12, min_direct_terms=6400) == \
-        pytest.approx(math.pi ** 2 / 6, abs=1e-12)
-    with pytest.raises(ValueError, match="min_direct_terms <= 6400"):
-        zeta_complex(2, 1e-12, min_direct_terms=6401)
-    # NaN fails every comparison, so it must be refused by type, not by
-    # the bound it would never meet
-    with pytest.raises(TypeError):
-        zeta_complex(2 + 1j, 1e-12, math.nan)
-    with pytest.raises(TypeError):
-        zeta_complex(2 + 1j, 1e-12, 6.5)
+    # complex() would parse a string, which no other numeric argument
+    # of the package accepts
+    for s in ("2", "1+2j", b"2"):
+        with pytest.raises(TypeError):
+            zeta_complex(s)
+    with pytest.raises(ValueError, match="s is too large for a double"):
+        zeta_complex(2 ** 2000)
 
 
 # ------------------------------------------------------------ asymptotic
 
 
 def test_constant_term():
-    params = AsymptoticParams()
-    assert params.constant == pytest.approx(1.1099488636120963, abs=1e-9)
-    assert params.constant == 0.5 + (1.0 - params.gamma) / LN2
+    constant = cost_module._CONSTANT
+    assert constant == pytest.approx(1.1099488636120963, abs=1e-9)
+    assert constant == 0.5 + (1.0 - EULER_GAMMA) / LN2
 
 
 def test_fluctuation_is_real_pairing():
@@ -354,9 +347,9 @@ def test_asymptotic_validation():
         asymptotic_cost(2.5)
     # zero terms would silently drop the fluctuation
     for k_terms, error in ((0, ValueError), (-3, ValueError),
-                           (6.0, TypeError)):
+                           (6.0, TypeError), ("12", TypeError)):
         with pytest.raises(error):
-            asymptotic_cost(10, AsymptoticParams(k_terms=k_terms))
+            asymptotic_cost(10, k_terms)
 
 
 def test_fourier_coefficients_decay():
@@ -400,13 +393,12 @@ class Index:
 def test_cost_breakdown_consistency():
     # every field is the double its standalone call returns, to the last
     # bit: short n, n > 2**40, powers of two, n = 1, an __index__ integer,
-    # and non-default parameters
-    k3 = AsymptoticParams(k_terms=3, gamma=0.5)
+    # and a non-default K
     for n in [1, 2, 3, 5, 7, 100, 729, 1000, 19999, 2 ** 40 + 1, 3 ** 39,
               2 ** 61 - 1, 10 ** 18 + 9, 4, 1024, 2 ** 41, 2 ** 62]:
-        for params in (None, k3):
+        for k_terms in (12, 3):
             for arg in (n, Index(n)):
-                row = cost_breakdown(arg, params)
+                row = cost_breakdown(arg, k_terms)
                 assert isinstance(row, CostBreakdown)
                 assert type(row.n) is int and row.n == n
                 assert row.exact_cost == exact_cost(n)
@@ -415,7 +407,7 @@ def test_cost_breakdown_consistency():
                 if n == 1:
                     assert row.asymptotic is None
                 else:
-                    assert row.asymptotic == asymptotic_cost(n, params)
+                    assert row.asymptotic == asymptotic_cost(n, k_terms)
     assert cost_breakdown(1) == (1, 0.0, 0.0, 0.0, None)
     assert cost_breakdown(1024).toll == 0.0
 
@@ -426,7 +418,14 @@ def test_cost_breakdown_validation():
         with pytest.raises(error):
             cost_breakdown(n)
     with pytest.raises(ValueError, match="cannot certify"):
-        cost_breakdown(3, AsymptoticParams(k_terms=601))
+        cost_breakdown(3, 601)
+    # n = 1 computes no fluctuation, yet refuses a K no other row takes
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="need k_terms >= 1, got 0"):
+            cost_breakdown(n, 0)
+        for k_terms in (6.0, "12"):
+            with pytest.raises(TypeError):
+                cost_breakdown(n, k_terms)
 
 
 def test_huge_n_stays_finite():

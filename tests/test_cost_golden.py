@@ -14,8 +14,7 @@ deliberate change of the cost layer's output.
 
 from pathlib import Path
 
-from fastdice import (AsymptoticParams, Rational, asymptotic_cost, batch_cost,
-                      exact_cost, nu, toll)
+from fastdice import Rational, asymptotic_cost, batch_cost, exact_cost, nu, toll
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cost_hex.txt"
 
@@ -29,7 +28,6 @@ BATCH = [(n, j) for n in (2, 3, 5, 6, 7, 10, 100, 1000) for j in (1, 2, 3)] \
 BIASES = [(1, 3), (2, 3), (2, 5), (3, 7), (5, 11), (1, 6), (5, 12), (7, 16),
           (1, 2), (0, 1), (1, 1), (4, 10), (1, 3 ** 12), (12345, 104729),
           ((2 ** 62 - 1) // 3, 2 ** 62 - 1), (1, 2 ** 62 - 1)]
-K3 = AsymptoticParams(k_terms=3)
 
 
 def lines():
@@ -41,7 +39,7 @@ def lines():
         if n >= 2:
             out.append(f"asymptotic_cost {n} {asymptotic_cost(n).hex()}")
             out.append(f"asymptotic_cost_k3 {n} "
-                       f"{asymptotic_cost(n, K3).hex()}")
+                       f"{asymptotic_cost(n, 3).hex()}")
     for n, j in BATCH:
         out.append(f"batch_cost {n},{j} {batch_cost(n, j).hex()}")
     for num, den in BIASES:
