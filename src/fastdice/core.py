@@ -21,13 +21,22 @@ The draw lives in ``_fdr``, which returns a plain (value, bits_used)
 tuple.  ``fdr_uniform`` is the only place that builds the ``FdrOutcome``
 record; the samplers that make one draw at a time (batches, unranking,
 ranges, the CLI's ``uniform``) index ``[0]`` of ``_fdr`` instead, so a
-draw whose bit count nobody reads builds no record.
+draw whose bit count nobody reads builds no record.  It builds the
+record through ``_new``, ``tuple.__new__`` bound once at import, which
+saves both the ``FdrOutcome.__new__`` frame and the attribute lookup on
+``tuple`` per call.  The two stay separate functions: measured with
+``benchmarks/run.py``, folding the record into ``_fdr`` made the median
+single draw 2-3% faster but cost the consumers workload, whose draws
+drop the bit count, about 2% of its throughput.
 
 Most draws accept on their first read, so the kernel answers that case
-before it sets up anything else: it reads c = next_bits(width) and
-returns (c, width) at once if c < n.  That needs no check, since
-c < n <= 2**width < 2n holds by construction.  Only a rejected read
-calls ``_recycle``, the one recycle loop, which both kernels share:
+before it sets up anything else: it reads c = source.next_bits(width)
+and returns (c, width) at once if c < n.  That needs no check, since
+c < n <= 2**width < 2n holds by construction.  The read is a method
+call, not a bound method kept in a local: the one read of an accepted
+draw would not repay building it.  Only a rejected read fetches
+``source.next_bits`` and hands it to ``_recycle``, which calls it once
+per step.  ``_recycle`` is the one recycle loop, which both kernels share:
 ``_fdr`` for one draw, and ``_fdr_each``, which draws a sequence of
 sizes in one frame and returns the values (Fisher-Yates draws a whole
 permutation's digits through it, paying one call per rejected first
@@ -106,6 +115,9 @@ class FdrOutcome(NamedTuple):
     bits_used: int
 
 
+_new = tuple.__new__  # builds fdr_uniform's record; see the module docstring
+
+
 def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
     """Draw uniformly from {0, ..., n-1} using optimally few random bits.
 
@@ -126,8 +138,7 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
         FastdiceError: the draw was still rejected after more than
             1024 flips, as on a stuck source; see the module docstring.
     """
-    # tuple.__new__ skips the Python-level FdrOutcome.__new__ frame.
-    return tuple.__new__(FdrOutcome, _fdr(source, n))
+    return _new(FdrOutcome, _fdr(source, n))
 
 
 def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
@@ -140,11 +151,10 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
     except (AttributeError, TypeError):  # not an int: its index, or refuse
         return _fdr(source, check_range(n))
 
-    next_bits = source.next_bits
-    c = next_bits(width)
+    c = source.next_bits(width)
     if c < n:  # accepted on the first read: c < n <= 2**width < 2n
         return c, width
-    return _recycle(next_bits, n, width, c)
+    return _recycle(source.next_bits, n, width, c)
 
 
 def _recycle(next_bits, n: int, width: int, c: int) -> tuple[int, int]:

@@ -307,7 +307,8 @@ def zeta_complex(s: complex, target_error: float = 1e-12) -> complex:
         TypeError: s is a string (``complex`` would parse it) or not a
             number.
         PoleAtOne: s = 1.
-        ValueError: s is too large for a double, Re(s) <= 0, or
+        ValueError: s is too large for a double or for the remainder
+            bound in doubles (|s| past about 1e23), Re(s) <= 0, or
             target_error unreachable in doubles.
     """
     if isinstance(s, str):
@@ -321,9 +322,13 @@ def zeta_complex(s: complex, target_error: float = 1e-12) -> complex:
     if s.real <= 0:
         raise ValueError(f"need Re(s) > 0, got {s}")
     for n_direct in (50, 100, 200, 400, 800, 1600, 3200, 6400):
-        if _em_remainder_bound(s, n_direct) <= target_error:
+        bound = _em_remainder_bound(s, n_direct)
+        if bound <= target_error:
             break
     else:
+        if not math.isfinite(bound):  # its Pochhammer product overflowed
+            raise ValueError(
+                f"s is too large for the remainder bound in doubles: {s}")
         raise ValueError(f"cannot certify error {target_error} at {s}")
 
     total = complex(0.0)
@@ -390,10 +395,19 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     binary floating point makes that exact (see _fluctuation_terms).
 
     Raises:
-        TypeError: k_terms is not an integer.
-        ValueError: k_terms < 1, or too large to certify.
+        TypeError: log2n is a string or not a real number, or k_terms
+            is not an integer.
+        ValueError: log2n is NaN or infinite, or k_terms < 1, or too
+            large to certify.
     """
-    frac = log2n % 1.0
+    try:
+        frac = log2n % 1.0  # NaN when log2n is NaN or infinite
+        finite = frac >= 0.0
+    except TypeError:  # "3" % 1.0 fails to format; "%s" % 1.0 is a str
+        raise TypeError(f"need a real number log2n, got "
+                        f"{type(log2n).__name__}") from None
+    if not finite:
+        raise ValueError(f"need a finite log2n, got {log2n}")
     total = 0.0
     cos, sin = math.cos, math.sin
     for omega, re2, im2 in _fluctuation_terms(k_terms):

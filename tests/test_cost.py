@@ -291,6 +291,14 @@ def test_zeta_domain_errors():
             zeta_complex(s)
     with pytest.raises(ValueError, match="s is too large for a double"):
         zeta_complex(2 ** 2000)
+    # past |s| of about 1e23 the remainder bound's Pochhammer product
+    # overflows and the bound is NaN or inf; the error says so instead
+    # of reporting the target as uncertifiable
+    for s in (1e24, 1e300, complex(0.5, 1e300)):
+        with pytest.raises(ValueError, match="s is too large for the "
+                                             "remainder bound in doubles"):
+            zeta_complex(s)
+    assert zeta_complex(3e23) == 1
 
 
 # ------------------------------------------------------------ asymptotic
@@ -316,6 +324,20 @@ def test_fluctuation_is_real_pairing():
         assert abs(two_sided.imag) < 1e-12
         assert periodic_fluctuation(x) == pytest.approx(two_sided.real,
                                                         abs=1e-12)
+
+
+def test_fluctuation_refuses_a_bad_log2n():
+    # "3" % 1.0 would be string formatting, and NaN or an infinity
+    # would give a NaN fluctuation
+    for bad in ("3", "%s", b"3", None, 1j):
+        with pytest.raises(TypeError, match="log2n"):
+            periodic_fluctuation(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="need a finite log2n"):
+            periodic_fluctuation(bad)
+    # the edges of a finite log2n still evaluate
+    assert math.isfinite(periodic_fluctuation(-1e-300))
+    assert math.isfinite(periodic_fluctuation(1e300))
 
 
 def test_fluctuation_period_one():

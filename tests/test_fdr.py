@@ -150,6 +150,41 @@ def test_a_first_read_accept_runs_no_cap_check(monkeypatch):
     assert src.bits_consumed() == 3
 
 
+class _Recording(ScriptedBitSource):
+    """Records the width of each ``next_bits`` call."""
+
+    def __init__(self, bits):
+        super().__init__(bits)
+        self.reads = []
+
+    def next_bits(self, k):
+        self.reads.append(k)
+        return super().next_bits(k)
+
+
+@pytest.mark.parametrize("n, bits, reads, outcome", [
+    (1, [], [], (0, 0)),                    # answered without a read
+    (4, [1, 0], [2], (2, 2)),               # a power of two never rejects
+    (5, [1, 0, 0], [3], (4, 3)),            # accepted on the first read
+    (5, [1, 1, 0, 1], [3, 1], (3, 4)),      # one recycle step, j = 1
+    (6, [1, 1, 0, 0, 1], [3, 2], (1, 5)),   # one recycle step, j = 2
+])
+def test_kernels_read_width_then_each_recycle_step(n, bits, reads, outcome):
+    # A draw reads its width in one call, then one call per recycle
+    # step, of that step's j; every kernel makes the same calls.
+    for call, expected in ((fdr_uniform, outcome), (_fdr, outcome),
+                           (lambda s, n: _fdr_each(s, [n]), [outcome[0]])):
+        src = _Recording(bits)
+        assert call(src, n) == expected
+        assert src.reads == reads
+
+
+def test_fdr_each_reads_as_its_single_draws_in_turn():
+    src = _Recording([1, 1, 0, 1] + [1, 1, 0, 0, 1])
+    assert _fdr_each(src, [5, 6]) == [3, 1]
+    assert src.reads == [3, 1, 3, 2]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flip_cap_keeps_fisher_yates_exact(n, monkeypatch):
     # The sequence kernel's digits share _fdr's recycle loop and its cap.
