@@ -18,7 +18,10 @@ such a generator ahead.  Both widths serve the same stream with the same
 counts: the source keeps only the number of bits put into its buffer,
 and derives from it the bits consumed and the words fetched, ceil(bits
 served / 32), so the up to three words a block holds beyond the last
-bit served are counted nowhere.
+bit served are counted nowhere.  Every refill, whichever method needs
+it, goes through the one fill loop in ``next_bits``, which masks each
+fill to its width, counts it, and leaves the counters right when a fill
+raises.
 """
 
 from __future__ import annotations
@@ -182,10 +185,13 @@ class BufferedWordSource(RandomBitSource):
     an int seed, the source owns a ``SplitMix64Words`` and fills 128 bits,
     four words, at a time from its ``next_block``.  Built on a caller's
     generator, it fills one word at a time from ``next_word``, so it never
-    reads that generator ahead.  Each fill is read as its low 128 or 32
-    bits, so a generator word outside [0, 2**32) cannot push a draw out
-    of range.  Either way, k bits cost exactly ceil(k/32) words whether
-    they are read by ``next_bit``, ``next_bits`` or ``next_geometric``.
+    reads that generator ahead.  ``next_bit`` and ``next_geometric`` read
+    within the buffer themselves and refill only by calling
+    ``next_bits``, whose loop is the one place that fills: it reads each
+    fill as its low 128 or 32 bits, so a generator word outside
+    [0, 2**32) cannot push a draw out of range, counts the fill, and
+    leaves the counters right when a fill raises.  Either way, k bits
+    cost exactly ceil(k/32) words whichever method reads them.
     State is per instance: independent sources never share a buffer or
     counter, and a copy of a seeded source has its own generator.
 
@@ -227,13 +233,10 @@ class BufferedWordSource(RandomBitSource):
 
     def next_bit(self) -> int:
         pos = self._pos
-        if pos == 0:
-            self._buf = self._fill() & self._mask
-            pos = self._width
-            self._filled += pos
-        pos -= 1
-        self._pos = pos
-        return (self._buf >> pos) & 1
+        if pos:  # inline: a call into next_bits costs half as much again
+            self._pos = pos = pos - 1
+            return (self._buf >> pos) & 1
+        return self.next_bits(1)
 
     def next_bits(self, k: int) -> int:
         pos = self._pos
@@ -270,19 +273,16 @@ class BufferedWordSource(RandomBitSource):
         if left:
             self._pos = left - 1
             return pos - left + 1
-        # A run of zeros to the end of the buffer: fill until a fill
-        # holds a 1, counting as next_bits does.
+        # A run of zeros to the end of the buffer: drop it, then read
+        # whole fills until one holds a 1.  Each read leaves that fill in
+        # the buffer, all of it read, so the bits after its first 1 are
+        # handed back by moving the position.
         t = pos
         self._pos = 0
-        fill, mask, width = self._fill, self._mask, self._width
-        while True:
-            buf = fill() & mask
-            self._filled += width
-            if buf:
-                break
+        width = self._width
+        while not (buf := self.next_bits(width)):
             t += width
         left = buf.bit_length()
-        self._buf = buf
         self._pos = left - 1
         return t + width - left + 1
 

@@ -397,8 +397,8 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     Raises:
         TypeError: log2n is a string or not a real number, or k_terms
             is not an integer.
-        ValueError: log2n is NaN or infinite, or k_terms < 1, or too
-            large to certify.
+        ValueError: log2n is NaN, infinite or too large for a double,
+            or k_terms < 1, or too large to certify.
     """
     try:
         frac = log2n % 1.0  # NaN when log2n is NaN or infinite
@@ -406,6 +406,8 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     except TypeError:  # "3" % 1.0 fails to format; "%s" % 1.0 is a str
         raise TypeError(f"need a real number log2n, got "
                         f"{type(log2n).__name__}") from None
+    except OverflowError:  # an int or Fraction past the largest double
+        raise ValueError("log2n is too large for a double") from None
     if not finite:
         raise ValueError(f"need a finite log2n, got {log2n}")
     total = 0.0

@@ -502,3 +502,53 @@ def test_out_of_range_words_draw_like_their_low_bits(seed):
         assert 0 <= drawn.value < n
         assert wild.next_geometric() == plain.next_geometric()
     assert plain.words_fetched == wild.words_fetched
+
+
+def test_a_fill_past_its_width_reads_as_its_low_bits_on_every_read():
+    # The mask sits in next_bits' fill loop alone; next_bit and
+    # next_geometric refill through it.
+    src = BufferedWordSource(_Words(1 << 32, 1 << 32, 5))
+    assert src.next_geometric() == 94
+    assert (src.bits_consumed(), src.words_fetched) == (94, 3)
+    src = BufferedWordSource(_Words(1 << 32))
+    assert [src.next_bit() for _ in range(32)] == [0] * 32
+
+
+def test_a_block_past_128_bits_reads_as_its_low_bits(monkeypatch):
+    blocks = iter([1 << 128, 1])
+    monkeypatch.setattr(SplitMix64Words, "next_block",
+                        lambda self: next(blocks))
+    src = BufferedWordSource(0)
+    assert src.next_geometric() == 256
+    assert src.words_fetched == 8
+
+
+# ------------------------------------------------- no read-ahead
+
+
+class _CountedWords:
+    """A caller's generator that counts its calls; about 30% of its
+    words are 0, so runs of zeros cross words."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.calls = 0
+
+    def next_word(self):
+        self.calls += 1
+        if self._rng.random() < 0.3:
+            return 0
+        return self._rng.getrandbits(32)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_read_takes_a_word_before_it_needs_one(seed):
+    rng = random.Random(seed)
+    gen = _CountedWords(seed)
+    src = BufferedWordSource(gen)
+    reads = [methodcaller("next_bit"), methodcaller("next_geometric")]
+    for _ in range(3000):
+        read = rng.choice(reads + [methodcaller("next_bits",
+                                                rng.randint(0, 100))])
+        read(src)
+        assert gen.calls == src.words_fetched

@@ -340,6 +340,18 @@ def test_fluctuation_refuses_a_bad_log2n():
     assert math.isfinite(periodic_fluctuation(1e300))
 
 
+def test_fluctuation_refuses_a_log2n_past_a_double():
+    # log2n % 1.0 converts to a double first; the message stays short
+    # instead of printing a 400-digit int
+    for bad in (10**400, -10**400, Fraction(10**400)):
+        with pytest.raises(ValueError) as info:
+            periodic_fluctuation(bad)
+        assert str(info.value) == "log2n is too large for a double"
+    # the largest power of two a double holds still evaluates
+    for edge in (2**1023, -2**1023, Fraction(2**1023)):
+        assert periodic_fluctuation(edge) == periodic_fluctuation(0.0)
+
+
 def test_fluctuation_period_one():
     for x in (0.3, 0.7):
         assert periodic_fluctuation(x) == pytest.approx(

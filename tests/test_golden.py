@@ -4,9 +4,11 @@ across versions, not just across two runs of one build.
 Each case runs ``python -m fastdice`` as a subprocess.  A case that exits
 0 has its stdout in ``golden/<name>.txt`` and must write nothing to
 stderr; a case that exits 2 has its stderr there and must write nothing
-to stdout.  The files were captured by running this module as a script
-(``python tests/test_golden.py``) in a checkout of the code whose output
-they pin; rewriting them is a deliberate change of the CLI's output.
+to stdout.  ``golden_mismatch`` holds that rule once; CI also runs it
+on the installed ``fastdice`` script.  The files were captured by
+running this module as a script (``python tests/test_golden.py``) in a
+checkout of the code whose output they pin; rewriting them is a
+deliberate change of the CLI's output.
 """
 
 import os
@@ -67,22 +69,35 @@ CASES = {
 }
 
 
-def run_case(name):
+MODULE = [sys.executable, "-m", "fastdice"]
+
+
+def run_case(name, command=MODULE):
     argv, _ = CASES[name]
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-m", "fastdice", *argv],
-                          capture_output=True, env=env)
+    return subprocess.run([*command, *argv], capture_output=True, env=env)
+
+
+def golden_mismatch(name, command):
+    """Run case `name` through `command` (``python -m fastdice``, or the
+    installed ``fastdice`` script) and return what breaks the golden
+    rule, or None when the run keeps it."""
+    status = CASES[name][1]
+    proc = run_case(name, command)
+    if proc.returncode != status:
+        return f"exit status {proc.returncode}, expected {status}"
+    shown, silent = ((proc.stdout, proc.stderr) if status == 0
+                     else (proc.stderr, proc.stdout))
+    if silent:
+        return f"wrote to the stream that must stay empty: {silent!r}"
+    if shown != (GOLDEN / f"{name}.txt").read_bytes():
+        return f"output differs from golden/{name}.txt"
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
-    status = CASES[name][1]
-    proc = run_case(name)
-    assert proc.returncode == status
-    shown, silent = ((proc.stdout, proc.stderr) if status == 0
-                     else (proc.stderr, proc.stdout))
-    assert silent == b""
-    assert shown == (GOLDEN / f"{name}.txt").read_bytes()
+    assert golden_mismatch(name, MODULE) is None
 
 
 if __name__ == "__main__":
