@@ -2,20 +2,44 @@
 
 ``walk`` enumerates a draw's decision tree on scripted flips, so a test
 can state a sampler's law exactly: the mass of every result and of the
-draws still undecided at a given depth.  ``mass`` and ``law`` sum a walk's
-prefixes into exact Fractions, and ``returning_errors`` lets a walk record
-the draws that raise, such as those a lowered flip cap cuts off.
+draws still undecided at a given depth.  ``mass``, ``law`` and
+``mean_flips`` sum a walk's prefixes into exact Fractions, and
+``returning_errors`` lets a walk record the draws that raise, such as
+those a lowered flip cap cuts off.
+
+The test doubles, each defined here once:
+
+- ``deadline(seconds)`` raises ``Hang`` in a block that runs too long,
+  so a test that would hang fails instead;
+- ``NextBitOnly(bits)`` is a custom source that defines only
+  ``next_bit``, so it reaches every ``RandomBitSource`` default;
+- ``Words(*words)`` is a caller's word generator that cycles through
+  ints, in [0, 2**32) or not;
+- ``Index`` is an integer by ``__index__`` alone;
+- ``state(source)`` is a buffered source's (bits consumed, words
+  fetched);
+- ``run_checkout(command)`` runs a command with ``PYTHONPATH`` set to
+  this checkout's ``src``, so a subprocess tests this code and not an
+  installed copy.
 
 pytest rewrites the asserts of a conftest, as it does a test module's, so
 the walker's checks still fire under ``python -O``; in a plain helper
 module they would be stripped.
 """
 
+import contextlib
+import itertools
+import os
 import random
+import signal
+import subprocess
 from fractions import Fraction
+from pathlib import Path
 
-from fastdice import (FastdiceError, Rational, ScriptExhausted,
-                      ScriptedBitSource)
+from fastdice import (FastdiceError, RandomBitSource, Rational,
+                      ScriptExhausted, ScriptedBitSource)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def walk(draw, depth):
@@ -82,6 +106,15 @@ def mass(prefixes):
     return Fraction(sum(1 << top - len(p) for p in prefixes), 1 << top)
 
 
+def mean_flips(prefixes):
+    """The flips the prefixes read on average, len(p) * 2**-len(p) each,
+    exactly.  Over a walk's leaves and open prefixes to depth D this is
+    E[min(T, D)], T the flips a draw reads."""
+    prefixes = list(prefixes)
+    top = max(map(len, prefixes), default=0)
+    return Fraction(sum(len(p) << top - len(p) for p in prefixes), 1 << top)
+
+
 def law(leaves):
     """The mass of each result in a walk's leaves."""
     prefixes = {}
@@ -102,3 +135,75 @@ def bernoulli_biases():
         den = rng.randint(top - (1 << 20), top)
         out.append(Rational(rng.randint(0, den), den))
     return out
+
+
+class Hang(Exception):
+    """A block outlived its deadline."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``Hang`` in the block if it runs for more than ``seconds``
+    (an int); put the previous SIGALRM handler back on the way out."""
+    def expire(signum, frame):
+        raise Hang(f"over {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class NextBitOnly(RandomBitSource):
+    """A custom source that defines only ``next_bit``, serving ``bits``,
+    so it inherits every default read; it counts the bits it serves."""
+
+    def __init__(self, bits):
+        self._bits = iter(bits)
+        self.count = 0
+
+    def next_bit(self):
+        bit = next(self._bits)
+        self.count += 1
+        return bit
+
+    def bits_consumed(self):
+        return self.count
+
+    def reset_bit_count(self):
+        self.count = 0
+
+
+class Words:
+    """A caller's word generator that cycles through fixed ints, in
+    range or not."""
+
+    def __init__(self, *words):
+        self.next_word = itertools.cycle(words).__next__
+
+
+class Index:
+    """An integer by ``__index__`` alone: it neither compares nor
+    subtracts."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.value})"
+
+
+def state(source):
+    return source.bits_consumed(), source.words_fetched
+
+
+def run_checkout(command):
+    """Run ``command`` with its output captured as bytes and
+    ``PYTHONPATH`` set to this checkout's ``src``."""
+    return subprocess.run(command, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))

@@ -6,7 +6,7 @@ hostile value in turn (floats integral or not, NaN, both infinities,
 Fraction, Decimal, a string, None, the edges -1 and 0, and integers past
 every 2**62 guard) with seeded valid or hostile values in the others.
 Every call must return, or raise FastdiceError, ValueError or TypeError,
-within a per-call alarm.  A call on a bit source that raises must leave
+within a per-call deadline.  A call on a bit source that raises must leave
 it as it was: the same bits consumed and the same words fetched.
 
 Some arguments take huge integers only at a cost that grows with them,
@@ -20,12 +20,13 @@ part of n.
 
 import math
 import random
-import signal
 from decimal import Decimal
 from fractions import Fraction
 
 import fastdice
 from fastdice import BufferedWordSource, FastdiceError, Rational
+
+from conftest import deadline, state
 
 HOSTILE = [6.0, 3.5, math.nan, math.inf, -math.inf, Fraction(6), Decimal(6),
            "6", None, -1, 0, 2 ** 62 + 1, 10 ** 23]
@@ -103,18 +104,6 @@ def calls(rng: random.Random):
             yield name, [rng.choice(pool + VALID) for pool in pools]
 
 
-class Hang(Exception):
-    """A call outlived its alarm."""
-
-
-def _alarm(signum, frame):
-    raise Hang(f"over {SECONDS} s")
-
-
-def state(source):
-    return source.bits_consumed(), source.words_fetched
-
-
 def call(name: str, args: list, seed: int) -> None:
     """Make the call; if it raises, its source must be as it was."""
     source = BufferedWordSource(seed)
@@ -138,16 +127,10 @@ def test_every_integer_argument_is_fuzzed():
 
 def test_every_call_returns_or_refuses_before_the_first_flip():
     rng = random.Random(11)
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    try:
-        for seed, (name, args) in enumerate(calls(rng)):
-            signal.alarm(SECONDS)
-            try:
+    for seed, (name, args) in enumerate(calls(rng)):
+        try:
+            with deadline(SECONDS):
                 call(name, args, seed)
-            except Exception as exc:  # a Hang, a moved source, or an
-                # error the library let through
-                raise AssertionError(f"{name}{tuple(args)}: {exc!r}") from exc
-            finally:
-                signal.alarm(0)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+        except Exception as exc:  # a Hang, a moved source, or an error
+            # the library let through
+            raise AssertionError(f"{name}{tuple(args)}: {exc!r}") from exc

@@ -7,10 +7,10 @@ import pytest
 
 from fastdice import (BatchPlan, BufferedWordSource, FastdiceError, Overflow,
                       RangeTooLarge, ScriptedBitSource, auto_batch_size,
-                      batch_cost, batch_uniform, check_range, fdr_uniform,
-                      plan_batch)
+                      batch_cost, batch_uniform, check_range,
+                      cost_partial_sum, fdr_uniform, plan_batch)
 
-from conftest import law, mass, walk
+from conftest import law, mass, mean_flips, walk
 
 
 def test_plan_examples():
@@ -134,7 +134,8 @@ def test_decomposition_bijective():
 def test_batch_is_exactly_uniform(n, j):
     # To depth 48 every tuple of j digits has the same mass, and the open
     # prefixes hold the master draw's undecided mass, r / 2**48 with
-    # r = 2**48 mod n**j.
+    # r = 2**48 mod n**j.  A batch reads the master draw's flips, so the
+    # mean of min(T, 48) is the cost theory's partial sum for n**j.
     depth = 48
     plan = plan_batch(n, j)
     leaves, open_ = walk(lambda s: tuple(batch_uniform(s, plan)), depth)
@@ -142,6 +143,7 @@ def test_batch_is_exactly_uniform(n, j):
     assert mass(open_) == undecided
     assert law(leaves) == dict.fromkeys(
         itertools.product(range(n), repeat=j), (1 - undecided) / n ** j)
+    assert mean_flips([*leaves, *open_]) == cost_partial_sum(n ** j, depth)
 
 
 def test_round_trip_recomposition():

@@ -6,7 +6,8 @@ from fastdice import (BufferedWordSource, ImproperFraction, Rational,
                       ScriptedBitSource, bernoulli_rational,
                       binary_expansion)
 
-from conftest import bernoulli_biases, law, walk
+from conftest import (Hang, Words, bernoulli_biases, deadline, law,
+                      mean_flips, walk)
 
 
 def test_expansion_one_fifth():
@@ -96,7 +97,8 @@ def test_exact_acceptance_probability():
     # The walk to depth 200 has one leaf at each length k, 0^(k-1) 1, of
     # mass 2**-k, and one open prefix, all zeros, of mass 2**-200.  P(1)
     # is then p cut to 200 binary digits, exactly, which holds only if
-    # each leaf holds its expansion bit.
+    # each leaf holds its expansion bit.  The mean of min(T, 200), T the
+    # flips read, is the sum of 2**-k over k < 200: 2 - 2**-199.
     depth = 200
     biases = [Rational(num, den) for num, den in
               [(1, 3), (2, 5), (3, 7), (7, 16), (1, 2), (5, 11)]]
@@ -111,6 +113,7 @@ def test_exact_acceptance_probability():
         ones = law(leaves).get(1, 0)
         assert ones == Fraction((p.num << depth) // p.den, 1 << depth)
         assert 0 <= Fraction(p.num, p.den) - ones <= Fraction(1, 1 << depth)
+        assert mean_flips([*leaves, *open_]) == 2 - Fraction(2, 1 << depth)
 
 
 def test_decision_bit_is_expansion_bit():
@@ -133,3 +136,14 @@ def test_mean_flips_and_bias():
         hits += bernoulli_rational(src, p)
     assert abs(src.bits_consumed() / trials - 2.0) < 0.03
     assert abs(hits / trials - 1 / 3) < 0.01
+
+
+@pytest.mark.xfail(raises=Hang, strict=True,
+                   reason="no flip cap: a generator stuck at 0 hangs the draw")
+def test_a_generator_stuck_at_zero_hangs_the_draw():
+    # Known and documented: next_geometric waits for a 1 that never
+    # comes.  Once the draw ends on such a source, this test passes,
+    # strict turns the pass into a failure, and the test must become a
+    # plain one.
+    with deadline(1):
+        bernoulli_rational(BufferedWordSource(Words(0)), Rational(1, 3))

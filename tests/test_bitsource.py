@@ -1,13 +1,16 @@
 import copy
 import pickle
 import random
+from itertools import repeat
 from operator import methodcaller
 
 import pytest
 
-from fastdice import (BufferedWordSource, RandomBitSource, ScriptExhausted,
+from fastdice import (BufferedWordSource, ScriptExhausted,
                       ScriptedBitSource, ScriptedWords, SplitMix64Words,
                       fdr_uniform)
+
+from conftest import NextBitOnly, Words
 
 
 def test_scripted_identity():
@@ -220,23 +223,6 @@ def test_buffered_word_exhaustion_state_is_method_independent(read):
     assert (src.bits_consumed(), src.words_fetched) == (64, 2)
 
 
-class _Ones(RandomBitSource):
-    """A source that inherits the default next_bits loop."""
-
-    def __init__(self):
-        self.count = 0
-
-    def next_bit(self):
-        self.count += 1
-        return 1
-
-    def bits_consumed(self):
-        return self.count
-
-    def reset_bit_count(self):
-        self.count = 0
-
-
 def _state(src):
     return (src.bits_consumed(), getattr(src, "words_fetched", None),
             getattr(src, "remaining", None), src.next_bits(40))
@@ -244,7 +230,8 @@ def _state(src):
 
 @pytest.mark.parametrize("make", [
     lambda: BufferedWordSource(1), lambda: ScriptedBitSource([1, 0, 0] * 30),
-    _Ones], ids=["buffered", "scripted", "default"])
+    lambda: NextBitOnly(repeat(1))],
+    ids=["buffered", "scripted", "default"])
 @pytest.mark.parametrize("before", [0, 5, 32, 45])
 def test_negative_width_raises_and_changes_nothing(make, before):
     src, ref = make(), make()
@@ -425,26 +412,7 @@ def test_geometric_reads_within_a_word():
     assert (src.bits_consumed(), src.words_fetched) == (33, 2)
 
 
-class _Replay(RandomBitSource):
-    """A source that defines only next_bit, so it inherits every default."""
-
-    def __init__(self, bits):
-        self._bits = iter(bits)
-        self.count = 0
-
-    def next_bit(self):
-        bit = next(self._bits)
-        self.count += 1
-        return bit
-
-    def bits_consumed(self):
-        return self.count
-
-    def reset_bit_count(self):
-        self.count = 0
-
-
-@pytest.mark.parametrize("make", [ScriptedBitSource, _Replay],
+@pytest.mark.parametrize("make", [ScriptedBitSource, NextBitOnly],
                          ids=["scripted", "default"])
 def test_default_geometric_loops_over_next_bit(make):
     src = make([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
@@ -455,21 +423,8 @@ def test_default_geometric_loops_over_next_bit(make):
 # ------------------------------------------------ words out of [0, 2**32)
 
 
-class _Words:
-    """A caller's generator serving fixed ints, in range or not."""
-
-    def __init__(self, *words):
-        self._words = words
-        self._next = 0
-
-    def next_word(self):
-        word = self._words[self._next % len(self._words)]
-        self._next += 1
-        return word
-
-
 def test_a_word_of_minus_one_reads_as_all_ones():
-    src = BufferedWordSource(_Words(-1))
+    src = BufferedWordSource(Words(-1))
     assert src.next_bits(40) == (1 << 40) - 1
     assert src.next_bit() == 1
     assert src.next_geometric() == 1
@@ -479,7 +434,7 @@ def test_a_word_of_minus_one_reads_as_all_ones():
 
 
 def test_a_word_past_32_bits_reads_as_its_low_bits():
-    src = BufferedWordSource(_Words(2**32 + 5))
+    src = BufferedWordSource(Words(2**32 + 5))
     assert src.next_bits(32) == 5
     assert src.next_bits(64) == 5 << 32 | 5
     assert src.words_fetched == 3
@@ -493,8 +448,8 @@ def test_out_of_range_words_draw_like_their_low_bits(seed):
     words = _splitmix_words(seed, 2000)
     shifted = [w + (rng.randint(-3, 3) << 32 + rng.randint(0, 40))
                for w in words]
-    plain = BufferedWordSource(_Words(*words))
-    wild = BufferedWordSource(_Words(*shifted))
+    plain = BufferedWordSource(Words(*words))
+    wild = BufferedWordSource(Words(*shifted))
     for _ in range(300):
         n = rng.randint(1, 1 << rng.randint(1, 62))
         drawn = fdr_uniform(wild, n)
@@ -507,10 +462,10 @@ def test_out_of_range_words_draw_like_their_low_bits(seed):
 def test_a_fill_past_its_width_reads_as_its_low_bits_on_every_read():
     # The mask sits in next_bits' fill loop alone; next_bit and
     # next_geometric refill through it.
-    src = BufferedWordSource(_Words(1 << 32, 1 << 32, 5))
+    src = BufferedWordSource(Words(1 << 32, 1 << 32, 5))
     assert src.next_geometric() == 94
     assert (src.bits_consumed(), src.words_fetched) == (94, 3)
-    src = BufferedWordSource(_Words(1 << 32))
+    src = BufferedWordSource(Words(1 << 32))
     assert [src.next_bit() for _ in range(32)] == [0] * 32
 
 

@@ -1,19 +1,25 @@
 import re
-import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from fastdice import (BufferedWordSource, auto_batch_size, batch_cost,
                       cli, fdr_uniform)
 from fastdice.cli import main
+from fastdice.core import _fdr
+
+from conftest import run_checkout
 
 FOOTER = re.compile(r"^# bits=(\d+) calls=(\d+)$")
 
 
 def run_cli(*argv):
-    return subprocess.run([sys.executable, "-m", "fastdice", *argv],
-                          capture_output=True, text=True)
+    """``python -m fastdice`` on this checkout, its output decoded."""
+    proc = run_checkout([sys.executable, "-m", "fastdice", *argv])
+    proc.stdout, proc.stderr = proc.stdout.decode(), proc.stderr.decode()
+    return proc
 
 
 def parse_footer(out):
@@ -259,6 +265,24 @@ def test_bench_batch_theory_column(capsys):
     out = capsys.readouterr().out
     fields = out.strip().splitlines()[1].split(",")
     assert fields[4] == f"{batch_cost(3, 6):.9g}"
+
+
+def test_chi_square_adds_the_expectation_of_each_unseen_cell():
+    # Cell 3 holds both draws of 2; each of the 3 cells never drawn adds
+    # its expectation 0.5, and cell 3 adds (2 - 0.5)**2 / 0.5 = 4.5.
+    assert cli._chi_square({3: 2}, 4, 2) == 6.0
+
+
+def test_bench_chi_square_with_unseen_cells(capsys):
+    # Ten draws on 1000 cells leave at least 990 cells unseen; the
+    # statistic is worked out exactly from the draws bench makes.
+    assert main(["bench", "--n", "1000", "--count", "10", "--seed", "8"]) == 0
+    fields = capsys.readouterr().out.strip().splitlines()[1].split(",")
+    source = BufferedWordSource(8)
+    counts = Counter(_fdr(source, 1000)[0] for _ in range(10))
+    expected = Fraction(10, 1000)
+    stat = sum((counts[v] - expected) ** 2 / expected for v in range(1000))
+    assert fields[6] == f"{float(stat):.9g}"
 
 
 def test_bench_divisibility_error():

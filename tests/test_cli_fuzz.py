@@ -4,7 +4,7 @@ Each option takes the edge values of the range guards (1, 20/21 for
 unranking, 2**62/2**62+1 for the doubling guard, 10**23 beyond every
 64-bit type) mixed with malformed text, or is left out.  Every run must
 end in exit status 0 or 2, or argparse's SystemExit(2): never another
-exception, and never a hang, which a per-argv alarm turns into a
+exception, and never a hang, which a per-argv deadline turns into a
 failure.  Counts stay at most 3 and --n-max within 2 of --n-min, so that
 each valid run is small work; fy's n stays out of [10**6, 2**62], which
 is in range but whose list would not fit in memory.
@@ -13,9 +13,10 @@ is in range but whose list would not fit in memory.
 import contextlib
 import io
 import random
-import signal
 
 from fastdice.cli import main
+
+from conftest import deadline
 
 EDGES = ["0", "1", "2", "20", "21", str(2 ** 62), str(2 ** 62 + 1),
          str(10 ** 23), "-1", "abc", "0x10", "auto"]
@@ -60,14 +61,6 @@ def fuzz_argv(rng: random.Random) -> list[str]:
     return argv
 
 
-class Hang(Exception):
-    """A run outlived its alarm."""
-
-
-def _alarm(signum, frame):
-    raise Hang(f"over {SECONDS} s")
-
-
 def run(argv: list[str]) -> int:
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -79,17 +72,11 @@ def run(argv: list[str]) -> int:
 
 def test_every_argv_exits_0_or_2():
     rng = random.Random(6)
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    try:
-        for _ in range(ARGVS):
-            argv = fuzz_argv(rng)
-            signal.alarm(SECONDS)
-            try:
+    for _ in range(ARGVS):
+        argv = fuzz_argv(rng)
+        try:
+            with deadline(SECONDS):
                 status = run(argv)
-            except Exception as exc:  # a Hang, or an error main let through
-                raise AssertionError(f"{argv} raised {exc!r}") from exc
-            finally:
-                signal.alarm(0)
-            assert status in (0, 2), argv
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+        except Exception as exc:  # a Hang, or an error main let through
+            raise AssertionError(f"{argv} raised {exc!r}") from exc
+        assert status in (0, 2), argv

@@ -13,6 +13,8 @@ from fastdice import (EULER_GAMMA, CostBreakdown, Overflow, PoleAtOne,
 from fastdice import cost as cost_module
 from fastdice.cost import LN2
 
+from conftest import Index
+
 
 # ------------------------------------------------------------ exact cost
 
@@ -411,17 +413,6 @@ def test_uncertifiable_terms_fail_on_the_first_zeta(monkeypatch):
 
 
 # ------------------------------------------------------------- breakdown
-
-
-class Index:
-    """An integer by ``__index__`` alone: it neither compares nor
-    subtracts."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
 
 
 def test_cost_breakdown_consistency():

@@ -5,27 +5,25 @@ Every demo draws from fixed seeds, so its stdout pins values, flip counts
 and cost figures at once.  Each runs as a subprocess; it must exit 0,
 write nothing to stderr, and print exactly ``golden/demo_<name>.txt``.
 The files were captured by running this module as a script
-(``python tests/test_demos.py``) in a checkout of the code whose output
-they pin; rewriting them is a deliberate change of the demos' output.
+(``PYTHONPATH=src python tests/test_demos.py``) in a checkout of the
+code whose output they pin; rewriting them is a deliberate change of the
+demos' output.
 """
 
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_checkout
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
-SRC = HERE.parent / "src"
 DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 def run_demo(path):
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, str(path)], capture_output=True,
-                          env=env)
+    return run_checkout([sys.executable, str(path)])
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)

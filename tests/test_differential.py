@@ -37,7 +37,7 @@ from fractions import Fraction
 import pytest
 
 from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
-                      FdrOutcome, LehmerCode, RandomBitSource, Rank, Rational,
+                      FdrOutcome, LehmerCode, Rank, Rational,
                       ScriptExhausted, ScriptedBitSource, ScriptedWords,
                       bernoulli_rational,
                       check_denominator, check_range, check_unrank_size,
@@ -47,7 +47,8 @@ from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
 from fastdice import core, cost
 from fastdice.cli import _PERM_ROUTES
 
-from conftest import bernoulli_biases, law, returning_errors, walk
+from conftest import (Index, NextBitOnly, bernoulli_biases, law,
+                      returning_errors, state, walk)
 
 
 def reference_fdr_uniform(source, n):
@@ -84,27 +85,6 @@ def reference_bernoulli(source, p):
             return b
 
 
-class NextBitOnly(RandomBitSource):
-    """A custom source that defines only next_bit, so the samplers reach
-    it through RandomBitSource's default next_bits."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def next_bit(self):
-        return self._inner.next_bit()
-
-    def bits_consumed(self):
-        return self._inner.bits_consumed()
-
-    def reset_bit_count(self):
-        self._inner.reset_bit_count()
-
-
-def state(src):
-    return src.bits_consumed(), src.words_fetched
-
-
 def ranges():
     """n of every bit length 1..62 (both ends of each length and one in
     between), every exact power of two, and the 2**62 boundary."""
@@ -114,20 +94,6 @@ def ranges():
         lo, hi = 1 << (length - 1), (1 << length) - 1
         out.update((lo, hi, rng.randint(lo, hi)))
     return sorted(out)
-
-
-class Index:
-    """An integer by ``__index__`` alone: it neither compares nor
-    subtracts."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.value})"
 
 
 class Int64Like(Index):
@@ -265,7 +231,7 @@ def test_default_fast_paths_draw_identically():
     biases = bernoulli_biases()
     for seed in range(5):
         inner, native = BufferedWordSource(seed), BufferedWordSource(seed)
-        custom = NextBitOnly(inner)
+        custom = NextBitOnly(iter(inner.next_bit, None))
         for _ in range(200):
             n = rng.choice(all_n)
             assert fdr_uniform(custom, n) == fdr_uniform(native, n)

@@ -1,5 +1,4 @@
 import itertools
-import signal
 from collections import Counter
 from fractions import Fraction
 
@@ -7,13 +6,14 @@ import pytest
 
 from fastdice import (BufferedWordSource, EmptyRange, FastdiceError,
                       RangeTooLarge, ScriptedBitSource,
-                      batch_uniform, exact_cost, fdr_uniform,
-                      fdr_uniform_range, fisher_yates, plan_batch,
-                      random_permutation_unranked)
+                      batch_uniform, cost_partial_sum, exact_cost,
+                      fdr_uniform, fdr_uniform_range, fisher_yates,
+                      plan_batch, random_permutation_unranked)
 from fastdice import core
 from fastdice.core import _fdr, _fdr_each
 
-from conftest import law, mass, returning_errors, walk
+from conftest import (Words, deadline, law, mass, mean_flips,
+                      returning_errors, walk)
 
 
 def draw(n, bits):
@@ -72,47 +72,17 @@ class _OutOfRange(ScriptedBitSource):
         return 1 << k
 
 
-class Hang(Exception):
-    """A call outlived its alarm."""
-
-
-def _alarm(signum, frame):
-    raise Hang("over 5 s")
-
-
-@pytest.fixture
-def alarm():
-    """Fail a test that runs for more than 5 s instead of letting it
-    hang."""
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(5)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("kernel", [
     lambda src: _fdr(src, 6), lambda src: _fdr_each(src, [6])],
     ids=["_fdr", "_fdr_each"])
-def test_recycle_step_checks_the_loop_invariant(kernel, alarm):
+def test_recycle_step_checks_the_loop_invariant(kernel):
     # 8 >= 6 is rejected on the first read; the recycled c = 12 is not
     # below v = 8, and the check after the recycle step says so.  Under
     # -O the check is stripped, the recycled c only grows, and the draw
     # is still rejected when it passes the flip cap.
-    with pytest.raises(AssertionError if __debug__ else FastdiceError):
+    with deadline(5), pytest.raises(
+            AssertionError if __debug__ else FastdiceError):
         kernel(_OutOfRange())
-
-
-class _Stuck:
-    """A word generator that returns the same word for ever."""
-
-    def __init__(self, word):
-        self.word = word
-
-    def next_word(self):
-        return self.word
 
 
 # Each call's first draw is on a size that is not a power of two, so an
@@ -130,10 +100,9 @@ class _Stuck:
     (lambda src: random_permutation_unranked(src, 5), 1027),
 ], ids=["fdr_uniform", "fdr_uniform_range", "fisher_yates",
         "batch_uniform", "random_permutation_unranked"])
-def test_a_stuck_generator_raises_instead_of_hanging(word, call, flips,
-                                                     alarm):
-    src = BufferedWordSource(_Stuck(word))
-    with pytest.raises(FastdiceError, match="looks stuck"):
+def test_a_stuck_generator_raises_instead_of_hanging(word, call, flips):
+    src = BufferedWordSource(Words(word))
+    with deadline(5), pytest.raises(FastdiceError, match="looks stuck"):
         call(src)
     assert src.bits_consumed() == flips
 
@@ -209,7 +178,9 @@ def test_exhaustive_small_n_uniformity(n):
     # undecided has size r_k = 2**k mod n and mass u_k = r_k / 2**k, so the
     # leaves of length k hold u_(k-1) - u_k (u_(-1) = 1), each reporting k
     # flips, the open prefixes hold u_64, and every value holds an equal
-    # share of the rest.
+    # share of the rest.  The mean of min(T, 64), T the flips a draw
+    # reads, is then the sum of u_k over k < 64: the cost theory's
+    # partial sum, exactly.
     depth = 64
     leaves, open_ = walk(lambda s: fdr_uniform(s, n), depth)
     undecided = [Fraction(pow(2, k, n), 1 << k) for k in range(depth + 1)]
@@ -221,6 +192,7 @@ def test_exhaustive_small_n_uniformity(n):
     count = Counter(map(len, leaves))
     for k, before in enumerate([Fraction(1), *undecided[:-1]]):
         assert Fraction(count[k], 1 << k) == before - undecided[k]
+    assert mean_flips([*leaves, *open_]) == cost_partial_sum(n, depth)
 
 
 @pytest.mark.parametrize("m", range(1, 13))

@@ -5,22 +5,23 @@ Each case runs ``python -m fastdice`` as a subprocess.  A case that exits
 0 has its stdout in ``golden/<name>.txt`` and must write nothing to
 stderr; a case that exits 2 has its stderr there and must write nothing
 to stdout.  ``golden_mismatch`` holds that rule once; CI also runs it
-on the installed ``fastdice`` script.  The files were captured by
-running this module as a script (``python tests/test_golden.py``) in a
-checkout of the code whose output they pin; rewriting them is a
-deliberate change of the CLI's output.
+on the installed ``fastdice`` script.  Every run goes through
+``conftest.run_checkout``, so it imports this checkout's ``src``.  The
+files were captured by running this module as a script
+(``PYTHONPATH=src python tests/test_golden.py``) in a checkout of the
+code whose output they pin; rewriting them is a deliberate change of the
+CLI's output.
 """
 
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_checkout
+
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
-SRC = HERE.parent / "src"
 
 CASES = {
     "uniform_plain": (["uniform", "--n", "6", "--count", "25", "--seed", "7"], 0),
@@ -73,9 +74,7 @@ MODULE = [sys.executable, "-m", "fastdice"]
 
 
 def run_case(name, command=MODULE):
-    argv, _ = CASES[name]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([*command, *argv], capture_output=True, env=env)
+    return run_checkout([*command, *CASES[name][0]])
 
 
 def golden_mismatch(name, command):

@@ -1,10 +1,12 @@
-"""Self-tests of the decision-tree walker in ``conftest.py``."""
+"""Self-tests of the helpers in ``conftest.py``: the decision-tree walker
+and the deadline."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 
-from conftest import law, mass, walk
+from conftest import Hang, deadline, law, mass, walk
 from fastdice import fdr_uniform
 
 
@@ -49,3 +51,17 @@ def test_walk_fails_on_a_draw_that_does_not_stop_at_its_decision(draw,
     # they fire under python -O as well.
     with pytest.raises(AssertionError, match=message):
         walk(draw, 4)
+
+
+def test_deadline_stops_a_busy_loop_and_restores_the_handler():
+    def previous(signum, frame):
+        raise AssertionError("the deadline's own handler should run")
+    outer = signal.signal(signal.SIGALRM, previous)
+    try:
+        with pytest.raises(Hang, match="over 1 s"), deadline(1):
+            while True:
+                pass
+        assert signal.getsignal(signal.SIGALRM) is previous
+        assert signal.alarm(0) == 0  # no alarm left pending
+    finally:
+        signal.signal(signal.SIGALRM, outer)
