@@ -37,10 +37,13 @@ call, not a bound method kept in a local: the one read of an accepted
 draw would not repay building it.  Only a rejected read fetches
 ``source.next_bits`` and hands it to ``_recycle``, which calls it once
 per step.  ``_recycle`` is the one recycle loop, which both kernels share:
-``_fdr`` for one draw, and ``_fdr_each``, which draws a sequence of
-sizes in one frame and returns the values (Fisher-Yates draws a whole
-permutation's digits through it, paying one call per rejected first
-read instead of one per digit).  The loop-invariant ``assert`` sits at
+``_fdr`` for one draw, and ``_fdr_shuffle``, the Fisher-Yates shuffle
+in one frame.  It draws each offset with the same first read and swaps
+it in at once, so a whole permutation pays one call per rejected first
+read instead of one per offset, and builds no list of offsets.  Its
+sizes fall by one per step, so the width steps down by one when the
+size reaches the next power of two below it, and no offset takes a
+``bit_length``.  The loop-invariant ``assert`` sits at
 the end of each recycle step, so it checks every recycled state; a
 source that serves c >= 2**width trips it on the first recycle.  Under
 ``python -O`` it is stripped, and no input guard rests on it.
@@ -70,14 +73,14 @@ read: 6.0 passes the range comparison but has no ``bit_length``, NaN
 fails the comparison and ``check_range``, a string cannot be compared.
 ``_fdr`` then re-enters with ``check_range(n)``, which either raises
 ``TypeError`` or hands over the int, so an ``__index__`` integer draws
-exactly like its int value.  ``_fdr_each`` has no such entry: its
-callers pass sizes derived from an int they have already checked.
+exactly like its int value.  ``_fdr_shuffle`` has no such entry: its
+sizes are at most the length of its list, which its caller checked.
 """
 
 from __future__ import annotations
 
 from operator import index
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bitsource import RandomBitSource
 from .errors import EmptyRange, FastdiceError, RangeTooLarge, _at_least
@@ -186,27 +189,29 @@ def _recycle(next_bits, n: int, width: int, c: int) -> tuple[int, int]:
     return c, bits
 
 
-def _fdr_each(source: RandomBitSource, sizes: Iterable[int]) -> list[int]:
-    """``[_fdr(source, n)[0] for n in sizes]``, in one frame.
+def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
+    """Shuffle t in place by Fisher-Yates and return it: step i swaps
+    t[i] with t[i + d], d uniform on the len(t) - i values left.
 
-    Makes the same ``next_bits`` reads as the per-size calls, in the same
-    order, and checks each size the same way when it is reached: a bad
-    size raises ``check_range``'s error after the earlier sizes' flips.
+    Makes the same ``next_bits`` reads as ``_fdr(source, m)`` for
+    m = len(t), ..., 2, in that order.  Takes no size check: each m is at
+    most len(t), which the caller has checked.
     """
     next_bits = source.next_bits
-    values = []
-    append = values.append
-    for n in sizes:
-        if not 1 < n <= MAX_UNIFORM_RANGE:  # as in _fdr
-            check_range(n)
-            append(0)
-            continue
-        width = (n - 1).bit_length()
+    n = len(t)
+    width = (n - 1).bit_length()
+    half = 1 << width >> 1  # the width steps down when m reaches it
+    for i in range(n - 1):
+        m = n - i
+        if m <= half:
+            width -= 1
+            half >>= 1
         c = next_bits(width)
-        if c >= n:  # rejected on the first read
-            c = _recycle(next_bits, n, width, c)[0]
-        append(c)
-    return values
+        if c >= m:  # rejected on the first read
+            c = _recycle(next_bits, m, width, c)[0]
+        c += i
+        t[i], t[c] = t[c], t[i]
+    return t
 
 
 def _split(y: int, radices: Sequence[int]) -> list[int]:

@@ -5,10 +5,11 @@ digits, the digit of positional size n - idx at index idx) sent through
 a fixed bijection.  Two ways to draw a code, times two bijections:
 
 * Drawing the code: digit by digit, each uniform on its own size, which
-  spends u(n) + ... + u(2) flips (``fisher_yates``, all n - 1 draws in
-  one ``core._fdr_each`` pass); or as one uniform rank below n! split in
-  factorial base by ``core._split``, which spends u(n!) flips, the
-  optimum for the whole object (``random_lehmer_code``).
+  spends u(n) + ... + u(2) flips (``fisher_yates``, each digit drawn
+  and swapped in at once by ``core._fdr_shuffle``); or as one uniform
+  rank below n! split in factorial base by ``core._split``, which
+  spends u(n!) flips, the optimum for the whole object
+  (``random_lehmer_code``).
 * Mapping it: the Fisher-Yates swaps, where step i swaps position i
   with i + digit i (``lehmer_to_permutation_fy``, linear time); or
   Laisant's selection construction (``lehmer_to_permutation_selection``,
@@ -23,6 +24,14 @@ digits and the swaps: they build no ``Rank``, and the digits of a rank
 below n! are in range by construction, so no ``LehmerCode`` is checked
 again.
 
+``_swaps`` walks digits it is given: a code's, or a rank's.
+``fisher_yates`` does not go through it.  Its shuffle swaps each digit
+in the step that draws it, in one frame in ``core`` next to ``_fdr``'s
+first read.  Feeding ``_swaps`` instead would need the digits as a list
+(a second loop over n - 1 stored values) or as a generator (a frame
+resumed per digit), and either costs more than the swap line it would
+share.
+
 Permutation values are one-indexed; ranks and code digits are zero-based.
 """
 
@@ -34,7 +43,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
-from .core import _fdr, _fdr_each, _split, check_range
+from .core import _fdr, _fdr_shuffle, _split, check_range
 from .errors import (DigitOutOfRange, FactorialOverflow, RankOutOfRange,
                      _at_least, _Record)
 
@@ -159,10 +168,9 @@ def lehmer_to_permutation_fy(code: LehmerCode) -> list[int]:
 def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     """Uniform random permutation of {1,...,n} by exact-uniform swaps.
 
-    Step i (0-based) swaps with an offset uniform on n - i values.  The
-    offsets are drawn first, in that order, in one ``_fdr_each`` pass;
-    the last one, on a single value, is always 0 and is not drawn, which
-    saves a call and no flip.
+    Step i (0-based) swaps with an offset uniform on n - i values, drawn
+    in that step by ``_fdr_shuffle``; the last one, on a single value, is
+    always 0 and is not drawn, which saves a call and no flip.
 
     Raises:
         TypeError: n is not an integer.
@@ -173,9 +181,8 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     n = _at_least("n", n, 0)
     check_range(n or 1)  # n = 0 is the empty permutation
     # The list comes first, so an n too large for memory fails before
-    # any flip is read rather than after drawing its offsets.
-    t = list(range(1, n + 1))
-    return _swaps(t, _fdr_each(source, range(n, 1, -1)))
+    # any flip is read.
+    return _fdr_shuffle(source, list(range(1, n + 1)))
 
 
 def _rank_digits(source: RandomBitSource, n: int) -> list[int]:

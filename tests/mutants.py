@@ -76,9 +76,13 @@ MUTANTS = [
      "(num << source.next_geometric() - 1) // den",
      "tests/test_bernoulli.py::test_decision_bit_is_expansion_bit"),
     # Fisher-Yates one digit short: the swap with 2 values never drawn.
-    ("src/fastdice/permutation.py", "_fdr_each(source, range(n, 1, -1))",
-     "_fdr_each(source, range(n, 2, -1))",
+    ("src/fastdice/core.py", "for i in range(n - 1):",
+     "for i in range(n - 2):",
      "tests/test_permutation.py::test_fisher_yates_trace_three"),
+    # The shuffle's width stepping down one size late: a power of two
+    # read one flip too wide.
+    ("src/fastdice/core.py", "if m <= half:", "if m < half:",
+     FDR + "test_fdr_shuffle_reads_as_its_single_draws_in_turn"),
     # The cost series off by one past 200 terms.
     ("src/fastdice/cost.py", "f = (r << shift) // mod",
      "f = (r << shift) // mod + (terms > 200)",

@@ -7,7 +7,6 @@ with their measured values; seeds are pinned so every run is identical.
 import math
 import random
 import re
-import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -25,6 +24,8 @@ from fastdice import (BufferedWordSource, FactorialOverflow, LehmerCode,
 from fastdice.batch import batch_uniform, plan_batch
 
 import itertools
+
+from conftest import run_checkout
 
 # Calibrated before implementation: the largest |asymptotic - exact| over
 # [256, 4096] measured by an independent high-precision run was
@@ -278,8 +279,9 @@ def test_criterion_11_doubling_identity():
 
 def test_criterion_12_cli_reproducibility():
     def run(*argv):
-        return subprocess.run([sys.executable, "-m", "fastdice", *argv],
-                              capture_output=True, text=True)
+        proc = run_checkout([sys.executable, "-m", "fastdice", *argv])
+        proc.stdout = proc.stdout.decode()
+        return proc
 
     bench = ["bench", "--n", "5", "--count", "20000", "--seed", "42"]
     cost = ["cost", "--n-min", "2", "--n-max", "1024"]

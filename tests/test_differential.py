@@ -9,10 +9,12 @@ words fetched, script cursor), draw after draw.  On scripted flips both
 must have the same decision tree: the same leaves with the same results,
 and at every node the same outcome, a return or ScriptExhausted with the
 same script state and message.
-The sequence kernel ``core._fdr_each`` must equal one reference draw per
-size, in order, the same way.  With the flip cap lowered, the library's
-tree must be the reference's, with a raise in place of each node the
-reference has not decided at its first decision past the cap.
+The shuffle kernel ``core._fdr_shuffle`` must equal
+``reference_fisher_yates``, one draw per offset, the same way, on any
+list and at the sizes where its width steps down.  With the flip cap
+lowered, the library's tree must be the reference's, with a raise in
+place of each node the reference has not decided at its first decision
+past the cap.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
@@ -133,39 +135,6 @@ def test_uniform_mixed_ranges_share_one_stream():
             assert state(new) == state(ref)
 
 
-def fdr_each_sizes(rng, count):
-    """count sizes mixing 1, 2, small, wide, 2**62 - 1 and 2**62."""
-    kinds = [lambda: 1, lambda: 2, lambda: rng.randint(3, 100),
-             lambda: rng.randint(1 << 40, (1 << 62) - 2),
-             lambda: (1 << 62) - 1, lambda: 1 << 62]
-    return [rng.choice(kinds)() for _ in range(count)]
-
-
-def test_fdr_each_matches_reference():
-    rng = random.Random(6)
-    for seed in range(40):
-        sizes = fdr_each_sizes(rng, rng.randint(0, 60))
-        new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
-        assert (core._fdr_each(new, iter(sizes))
-                == [reference_fdr_uniform(ref, n).value for n in sizes])
-        assert state(new) == state(ref)
-
-
-def test_fdr_each_bad_size_raises_like_check_range():
-    # The sizes before the bad one are drawn, as by one call per size.
-    for bad in (0, -1, 2 ** 62 + 1, 10 ** 23):
-        with pytest.raises((FastdiceError, ValueError)) as want:
-            check_range(bad)
-        new, ref = BufferedWordSource(9), BufferedWordSource(9)
-        with pytest.raises(type(want.value)) as got:
-            core._fdr_each(new, [6, 1 << 62, bad, 3])
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
-        reference_fdr_uniform(ref, 6)
-        reference_fdr_uniform(ref, 1 << 62)
-        assert state(new) == state(ref)
-
-
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_flip_cap_keeps_returned_draws_exact(n, monkeypatch):
     # With the cap at 8 flips, a draw raises at its first rejection past
@@ -266,21 +235,6 @@ def assert_same_tree(draw, reference, depth):
 def test_uniform_exhaustion_matches_reference(n):
     assert_same_tree(lambda s: fdr_uniform(s, n),
                      lambda s: reference_fdr_uniform(s, n), 64)
-
-
-def test_fdr_each_exhaustion_matches_reference():
-    # Scripts that run out before the first size, between sizes and
-    # inside one, or that outlast the whole sequence.
-    rng = random.Random(11)
-    exhausted = 0
-    for _ in range(400):
-        sizes = fdr_each_sizes(rng, rng.randint(1, 6))
-        bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 200))]
-        got = outcome(lambda s: core._fdr_each(s, sizes), bits)
-        assert got == outcome(
-            lambda s: [reference_fdr_uniform(s, n).value for n in sizes], bits)
-        exhausted += got[0] == "exhausted" and got[2] > 0
-    assert exhausted > 50
 
 
 @pytest.mark.parametrize("p", [Rational(1, 3), Rational(2, 5),
@@ -466,6 +420,47 @@ def reference_cli_lehmer(source, n):
 def reference_lehmer_code(source, n):
     u = fdr_uniform(source, math.factorial(n)).value
     return reference_factorial_decompose(Rank(u, n))
+
+
+def test_fdr_shuffle_matches_reference():
+    # On any list, in place: position j ends up holding item k, where k
+    # is what the reference's permutation of 1..n holds at j.
+    rng = random.Random(6)
+    for seed in range(40):
+        new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        for _ in range(rng.randint(1, 8)):
+            n = rng.choice([0, 1, 2, rng.randint(3, 100)])
+            t = [f"x{k}" for k in range(1, n + 1)]
+            assert core._fdr_shuffle(new, t) is t
+            assert t == [f"x{k}" for k in reference_fisher_yates(ref, n)]
+            assert state(new) == state(ref)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 1024, 1025])
+def test_fisher_yates_matches_reference_where_widths_change(n):
+    # The width steps down as the size falls to each power of two: at
+    # once from 2**k, one step in from 2**k + 1.
+    for seed in range(8):
+        new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        for _ in range(3):
+            assert fisher_yates(new, n) == reference_fisher_yates(ref, n)
+            assert state(new) == state(ref)
+
+
+def test_fdr_shuffle_exhaustion_matches_reference():
+    # Scripts that run out before the first offset, between offsets and
+    # inside one, or that outlast the whole shuffle.
+    rng = random.Random(11)
+    exhausted = finished = 0
+    for _ in range(400):
+        n = rng.randint(0, 20)
+        bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 100))]
+        got = outcome(lambda s: core._fdr_shuffle(s, [*range(1, n + 1)]),
+                      bits)
+        assert got == outcome(lambda s: reference_fisher_yates(s, n), bits)
+        exhausted += got[0] == "exhausted" and got[2] > 0
+        finished += got[0] != "exhausted" and n > 1
+    assert exhausted > 50 and finished > 50
 
 
 ROUTES = {

@@ -10,7 +10,7 @@ from fastdice import (BufferedWordSource, EmptyRange, FastdiceError,
                       fdr_uniform, fdr_uniform_range, fisher_yates,
                       plan_batch, random_permutation_unranked)
 from fastdice import core
-from fastdice.core import _fdr, _fdr_each
+from fastdice.core import _fdr, _fdr_shuffle
 
 from conftest import (Words, deadline, law, mass, mean_flips,
                       returning_errors, walk)
@@ -73,13 +73,14 @@ class _OutOfRange(ScriptedBitSource):
 
 
 @pytest.mark.parametrize("kernel", [
-    lambda src: _fdr(src, 6), lambda src: _fdr_each(src, [6])],
-    ids=["_fdr", "_fdr_each"])
+    lambda src: _fdr(src, 6), lambda src: _fdr_shuffle(src, [*range(6)])],
+    ids=["_fdr", "_fdr_shuffle"])
 def test_recycle_step_checks_the_loop_invariant(kernel):
-    # 8 >= 6 is rejected on the first read; the recycled c = 12 is not
-    # below v = 8, and the check after the recycle step says so.  Under
-    # -O the check is stripped, the recycled c only grows, and the draw
-    # is still rejected when it passes the flip cap.
+    # Both first draw on 6.  8 >= 6 is rejected on the first read; the
+    # recycled c = 12 is not below v = 8, and the check after the
+    # recycle step says so.  Under -O the check is stripped, the recycled
+    # c only grows, and the draw is still rejected when it passes the
+    # flip cap.
     with deadline(5), pytest.raises(
             AssertionError if __debug__ else FastdiceError):
         kernel(_OutOfRange())
@@ -112,7 +113,9 @@ def test_a_first_read_accept_runs_no_cap_check(monkeypatch):
     # accepts on its first read still returns.
     monkeypatch.setattr(core, "_MAX_FLIPS", 0)
     assert draw(5, [1, 0, 0]) == (4, 3)
-    assert _fdr_each(ScriptedBitSource([1, 0, 0, 1, 0]), [5, 3]) == [4, 2]
+    # offsets 4, 3, 2 and 1, each accepted on its first read
+    bits = [1, 0, 0, 1, 1, 1, 0, 1]
+    assert fisher_yates(ScriptedBitSource(bits), 5) == [5, 1, 2, 3, 4]
     src = ScriptedBitSource([1, 1, 0])
     with pytest.raises(FastdiceError, match="after 3 flips"):
         fdr_uniform(src, 5)
@@ -140,23 +143,33 @@ class _Recording(ScriptedBitSource):
 ])
 def test_kernels_read_width_then_each_recycle_step(n, bits, reads, outcome):
     # A draw reads its width in one call, then one call per recycle
-    # step, of that step's j; every kernel makes the same calls.
-    for call, expected in ((fdr_uniform, outcome), (_fdr, outcome),
-                           (lambda s, n: _fdr_each(s, [n]), [outcome[0]])):
+    # step, of that step's j; both single-draw kernels make the same
+    # calls.
+    for call in (fdr_uniform, _fdr):
         src = _Recording(bits)
-        assert call(src, n) == expected
+        assert call(src, n) == outcome
         assert src.reads == reads
 
 
-def test_fdr_each_reads_as_its_single_draws_in_turn():
-    src = _Recording([1, 1, 0, 1] + [1, 1, 0, 0, 1])
-    assert _fdr_each(src, [5, 6]) == [3, 1]
-    assert src.reads == [3, 1, 3, 2]
+def test_fdr_shuffle_reads_as_its_single_draws_in_turn():
+    # Sizes 5, 4, 3, 2 read widths 3, 2, 2, 1: the width steps down at 4
+    # and at 2.  Offset 3 on 5 after one recycle step of j = 1; offset 1
+    # on 4; offset 2 on 3 after two recycle steps of j = 2; offset 0 on 2.
+    bits = [1, 1, 0, 1] + [0, 1] + [1, 1, 1, 1, 1, 0] + [0]
+    reads = [3, 1, 2, 2, 2, 2, 1]
+    src = _Recording(bits)
+    assert [_fdr(src, m)[0] for m in (5, 4, 3, 2)] == [3, 1, 2, 0]
+    assert src.reads == reads
+    for shuffle in (lambda s: _fdr_shuffle(s, [1, 2, 3, 4, 5]),
+                    lambda s: fisher_yates(s, 5)):
+        src = _Recording(bits)
+        assert shuffle(src) == [4, 3, 5, 1, 2]
+        assert src.reads == reads
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flip_cap_keeps_fisher_yates_exact(n, monkeypatch):
-    # The sequence kernel's digits share _fdr's recycle loop and its cap.
+    # The shuffle's digits share _fdr's recycle loop and its cap.
     # With the cap at 6 flips every digit's draw ends within 8 flips, so
     # the walk leaves nothing open, and the permutations that return are
     # still all equally likely.
