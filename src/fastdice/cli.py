@@ -52,19 +52,16 @@ def _parse_seed(text: str) -> int:
     return value
 
 
-def _integer(text: str) -> int:
-    """int(text), failing with a message of its own: on a plain
-    ValueError argparse would print the type function's name."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-
-
 def _int_at_least(lo: int):
-    """An argparse type: an integer >= lo, or the error "must be >= lo"."""
+    """An argparse type: an integer >= lo, or the error "must be >= lo".
+
+    A non-integer fails with a message of its own: on a plain ValueError
+    argparse would print the type function's name."""
     def parse(text: str) -> int:
-        value = _integer(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}")
         return value
@@ -83,12 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=_parse_seed, default=0,
                         help="decimal or 0x-hex 64-bit seed, or 'random' "
                              "(default 0, fully deterministic)")
-    common.add_argument("--format", choices=("text", "csv"), default="text",
-                        help="output format where it applies (cost and bench "
-                             "always emit csv; perm is always text)")
+    # cost and bench always print csv and perm always text, so only the
+    # other two take --format
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("text", "csv"),
+                           default="text", help="csv adds a header line")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("uniform", parents=[common],
+    p = sub.add_parser("uniform", parents=[formatted],
                        help="draw uniform integers on [0, n)")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--count", type=_int_at_least(0), default=1)
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "uniform rank through the selection construction")
     p.set_defaults(func=cmd_perm)
 
-    p = sub.add_parser("bernoulli", parents=[common],
+    p = sub.add_parser("bernoulli", parents=[formatted],
                        help="draw exact Bernoulli(num/den) bits")
     p.add_argument("--num", type=_int_at_least(0), required=True)
     p.add_argument("--den", type=_int_at_least(1), required=True)

@@ -15,7 +15,9 @@ On top of that sit the toll t(n) = u(n) - log2(n) in [0, 2], the
 per-value cost of batched draws u(n**j)/j, and the smooth approximation
 log2(n) + constant + P(log2 n), whose Fourier fluctuation P needs the
 Riemann zeta function on the line Re(s) = 1 (computed here by
-Euler-Maclaurin summation; no external math dependency).  One row of
+Euler-Maclaurin summation; no external math dependency).  Its K
+coefficients are computed once per K into one cached table,
+_fluctuation_terms, which every evaluation of P reads.  One row of
 the cost table, cost_breakdown(n), holds n, u(n), log2(n), the toll and
 the smooth approximation, each the same double its own function
 returns; the row validates n once and takes its log2 once.
@@ -282,20 +284,6 @@ _BERNOULLI_EVEN = (
 _EM_CORRECTIONS = 6  # Bernoulli corrections through B_12
 
 
-def _em_remainder_bound(s: complex, n_direct: int) -> float:
-    """Standard Euler-Maclaurin remainder after R = _EM_CORRECTIONS
-    corrections: the first omitted one times
-    |s + 2R + 1| / (Re(s) + 2R + 1)."""
-    two_r = 2 * _EM_CORRECTIONS
-    b_next = abs(_BERNOULLI_EVEN[_EM_CORRECTIONS])  # B_{2R+2}
-    poch = 1.0
-    for i in range(two_r + 1):
-        poch *= abs(s + i)
-    omitted = (float(b_next) / math.factorial(two_r + 2)) * poch \
-        * n_direct ** (-(s.real + two_r + 1))
-    return omitted * abs(s + two_r + 1) / (s.real + two_r + 1)
-
-
 def zeta_complex(s: complex, target_error: float = 1e-12) -> complex:
     """Riemann zeta on Re(s) > 0 by Euler-Maclaurin summation.
 
@@ -321,8 +309,20 @@ def zeta_complex(s: complex, target_error: float = 1e-12) -> complex:
         raise PoleAtOne("zeta has its pole at s = 1")
     if s.real <= 0:
         raise ValueError(f"need Re(s) > 0, got {s}")
+    # The remainder after R = _EM_CORRECTIONS corrections is at most the
+    # first omitted one, |B_2R+2| / (2R+2)! * |s(s+1)...(s+2R)| *
+    # N**-(Re(s) + 2R + 1), times |s + 2R + 1| / (Re(s) + 2R + 1).  Only
+    # the power of N changes down the ladder.  The product is taken on
+    # its own, before the small Bernoulli factor, so past |s| of about
+    # 1e23 it overflows and no rung is finite.
+    two_r = 2 * _EM_CORRECTIONS
+    poch_abs = math.prod(abs(s + i) for i in range(two_r + 1))
+    omitted = (float(abs(_BERNOULLI_EVEN[_EM_CORRECTIONS]))
+               / math.factorial(two_r + 2)) * poch_abs
+    grow = s.real + two_r + 1
+    last = abs(s + two_r + 1)
     for n_direct in (50, 100, 200, 400, 800, 1600, 3200, 6400):
-        bound = _em_remainder_bound(s, n_direct)
+        bound = omitted * n_direct ** -grow * last / grow
         if bound <= target_error:
             break
     else:
@@ -352,36 +352,28 @@ _CONSTANT = 0.5 + (1.0 - EULER_GAMMA) / LN2
 
 
 @lru_cache(maxsize=None)
-def _fourier_coefficients(k_terms: int) -> tuple[complex, ...]:
-    """zeta(1 + i*tau_k) / (1 + i*tau_k) for k = 1..k_terms,
-    tau_k = 2*pi*k / ln2.
+def _fluctuation_terms(k_terms: int) -> tuple[tuple[float, float, float], ...]:
+    """(omega_k, 2 Re c_k, 2 Im c_k) for k = 1..k_terms: c_k the Fourier
+    coefficient zeta(1 + i*tau_k) / (1 + i*tau_k), tau_k = 2*pi*k / ln2,
+    and omega_k the double 2.0 * math.pi * k, so that omega_k * frac is
+    the phase 2*pi*k*frac rounded the same way each call.
 
     Evaluated from k = k_terms down: the remainder bound grows with
     tau_k, so a k_terms that cannot be certified fails on the first
     zeta evaluation instead of after k_terms - 1 good ones.  k_terms
     must be an integer >= 1: zero terms would drop the fluctuation.
-    """
-    out = []
-    for k in range(_at_least("k_terms", k_terms, 1), 0, -1):
-        s = complex(1.0, 2.0 * math.pi * k / LN2)
-        out.append(zeta_complex(s, 1e-13) / s)
-    return tuple(reversed(out))
-
-
-@lru_cache(maxsize=None)
-def _fluctuation_terms(k_terms: int) -> tuple[tuple[float, float, float], ...]:
-    """(omega_k, 2 Re c_k, 2 Im c_k) for k = 1..k_terms, c_k the Fourier
-    coefficients and omega_k the double 2.0 * math.pi * k, so that
-    omega_k * frac is the phase 2*pi*k*frac rounded the same way each
-    call.
 
     Each pair's factor 2 is stored in its coefficients.  Doubling a
     binary double only raises its exponent, so it is exact and commutes
     with rounding: (2a)*x + (2b)*y rounds to exactly twice a*x + b*y,
     that is to 2*(a*x + b*y), bit for bit.  That holds barring overflow
     and underflow, which the sizes of c_k, cos and sin rule out."""
-    return tuple((2.0 * math.pi * k, 2.0 * c.real, 2.0 * c.imag) for k, c in
-                 enumerate(_fourier_coefficients(k_terms), start=1))
+    out = []
+    for k in range(_at_least("k_terms", k_terms, 1), 0, -1):
+        s = complex(1.0, 2.0 * math.pi * k / LN2)
+        c = zeta_complex(s, 1e-13) / s
+        out.append((2.0 * math.pi * k, 2.0 * c.real, 2.0 * c.imag))
+    return tuple(reversed(out))
 
 
 def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
@@ -391,8 +383,10 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
     its conjugate, so each pair contributes the real combination
     2*(Re c_k * cos + Im c_k * sin) and the total is real by
     construction.  Since k is an integer, only frac(log2n) matters.
-    The 2 is stored in the coefficients, saving a multiply per term;
-    binary floating point makes that exact (see _fluctuation_terms).
+    The terms come from one table per k_terms, _fluctuation_terms,
+    which holds each phase step and the doubled coefficients: storing
+    the 2 saves a multiply per term, and binary floating point makes
+    that exact (see that table's docstring).
 
     Raises:
         TypeError: log2n is a string or not a real number, or k_terms

@@ -91,6 +91,26 @@ MUTANTS = [
     ("src/fastdice/cost.py", "for t, m in build(levels):",
      "for t, m in build(min(levels, 16)):",
      "tests/test_differential.py::test_weighted_bit_sum_matches_reference"),
+    # The remainder bound's Pochhammer product one factor short.
+    ("src/fastdice/cost.py", "for i in range(two_r + 1))",
+     "for i in range(two_r))",
+     "tests/test_cost_golden.py::"
+     "test_cost_layer_matches_golden_bit_for_bit"),
+    # The small Bernoulli factor taken before the Pochhammer product,
+    # which keeps the bound finite past |s| of 1e24.
+    ("src/fastdice/cost.py",
+     "poch_abs = math.prod(abs(s + i) for i in range(two_r + 1))\n"
+     "    omitted = (float(abs(_BERNOULLI_EVEN[_EM_CORRECTIONS]))\n"
+     "               / math.factorial(two_r + 2)) * poch_abs\n",
+     "omitted = float(abs(_BERNOULLI_EVEN[_EM_CORRECTIONS])) \\\n"
+     "        / math.factorial(two_r + 2)\n"
+     "    for i in range(two_r + 1):\n"
+     "        omitted *= abs(s + i)\n",
+     "tests/test_cost.py::test_zeta_domain_errors"),
+    # A fluctuation table entry with Im c_k left undoubled.
+    ("src/fastdice/cost.py", "2.0 * c.imag))", "c.imag))",
+     "tests/test_differential.py::"
+     "test_periodic_fluctuation_matches_reference_bit_for_bit"),
     # The chi-square statistic forgetting the cells never drawn.
     ("src/fastdice/cli.py", "stat = (n - len(counts)) * expected",
      "stat = 0.0",

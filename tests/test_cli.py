@@ -123,6 +123,19 @@ def test_non_integer_names_no_private_function(argv):
     assert not re.search(r"(^|\W)_\w", r.stderr)
 
 
+@pytest.mark.parametrize("argv", [
+    ["perm", "--n", "3", "--format", "csv"],
+    ["cost", "--n-min", "2", "--n-max", "3", "--format", "text"],
+    ["bench", "--n", "3", "--count", "3", "--format", "csv"]])
+def test_format_only_where_it_formats(argv):
+    # perm always prints text and cost and bench always csv, so they
+    # refuse --format instead of ignoring it
+    r = run_cli(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --format" in r.stderr
+
+
 # ----------------------------------------------------------------- perm
 
 

@@ -315,8 +315,9 @@ def test_constant_term():
 def test_fluctuation_is_real_pairing():
     # rebuild P from the two-sided complex sum; the conjugate pairs must
     # cancel imaginary parts and match the cosine/sine form
-    from fastdice.cost import _fourier_coefficients
-    coeffs = _fourier_coefficients(12)
+    # the table holds 2 Re c_k and 2 Im c_k; halving them is exact
+    coeffs = [complex(re2, im2) / 2
+              for _, re2, im2 in cost_module._fluctuation_terms(12)]
     for x in (0.0, 0.123, 0.5, 0.876, 3.25):
         two_sided = 0j
         for k, c in enumerate(coeffs, start=1):
@@ -391,8 +392,8 @@ def test_asymptotic_validation():
 def test_fourier_coefficients_decay():
     # |c_k| = |zeta(1 + i tau_k)| / |1 + i tau_k| decays like 1/k since
     # tau_k = 2 pi k / ln2 grows linearly and zeta stays O(1) on the line
-    from fastdice.cost import _fourier_coefficients
-    coeffs = _fourier_coefficients(20)
+    coeffs = [complex(re2, im2) / 2
+              for _, re2, im2 in cost_module._fluctuation_terms(20)]
     for k, c in enumerate(coeffs, start=1):
         assert abs(c) < 0.4 / k
 
@@ -408,7 +409,7 @@ def test_uncertifiable_terms_fail_on_the_first_zeta(monkeypatch):
         return zeta(s, *args)
     monkeypatch.setattr(cost_module, "zeta_complex", counting)
     with pytest.raises(ValueError, match="cannot certify error 1e-13"):
-        cost_module._fourier_coefficients(601)
+        cost_module._fluctuation_terms(601)
     assert len(calls) == 1
 
 

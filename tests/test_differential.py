@@ -20,8 +20,9 @@ its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
 ``reference_horner``, ``reference_weighted_bit_sum`` and
 ``reference_periodic_fluctuation`` are the cost layer's term-by-term,
-bit-by-bit and coefficient-by-coefficient loops; the closed forms and the
-precomputed table must return the same integers and the same doubles.
+bit-by-bit and coefficient-by-coefficient loops, the last with each c_k
+from its own zeta call; the closed forms and the precomputed table must
+return the same integers and the same doubles.
 
 The ``reference_*`` permutation routes are the library's permutation code
 from before every route shared one swap loop and one code draw: the
@@ -31,6 +32,7 @@ lehmer``.  The library must return the same permutations, codes and
 ranks and leave the source in the same state.
 """
 
+import functools
 import math
 import operator
 import random
@@ -300,11 +302,23 @@ def test_weighted_bit_sum_matches_reference():
         assert cost._weighted_bit_sum(e) == reference_weighted_bit_sum(e)
 
 
+@functools.lru_cache(maxsize=None)
+def reference_fourier_coefficients(k_terms):
+    """c_k = zeta(1 + i*tau_k) / (1 + i*tau_k), tau_k = 2*pi*k / ln2,
+    for k = 1..k_terms, each from its own zeta call."""
+    out = []
+    for k in range(1, k_terms + 1):
+        s = complex(1.0, 2.0 * math.pi * k / cost.LN2)
+        out.append(cost.zeta_complex(s, 1e-13) / s)
+    return tuple(out)
+
+
 def reference_periodic_fluctuation(log2n, k_terms):
-    """The fluctuation's loop before its (2*pi*k, Re c_k, Im c_k) table."""
+    """The fluctuation's loop before its (2*pi*k, 2 Re c_k, 2 Im c_k)
+    table: each term's phase and factor 2 taken per call."""
     frac = log2n % 1.0
     total = 0.0
-    for k, c in enumerate(cost._fourier_coefficients(k_terms), start=1):
+    for k, c in enumerate(reference_fourier_coefficients(k_terms), start=1):
         theta = 2.0 * math.pi * k * frac
         total += 2.0 * (c.real * math.cos(theta) + c.imag * math.sin(theta))
     return -total / cost.LN2
