@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from collections.abc import Iterator
 from itertools import islice
 
@@ -232,9 +233,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from .cost import batch_cost, exact_cost
     source, j, draws = _uniform_draws(args)
-    counts: dict[int, int] = {}
-    for v in draws:
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(draws)
     theory = exact_cost(args.n) if j is None else batch_cost(args.n, j)
     total_bits = source.bits_consumed()
     mean = total_bits / args.count
@@ -253,8 +252,6 @@ def _chi_square(counts: dict[int, int], n: int, total: int) -> float:
     Unseen cells contribute their expectation; summing sparsely keeps
     memory independent of n.
     """
-    if total == 0:
-        return 0.0
     expected = total / n
     stat = (n - len(counts)) * expected
     for v in sorted(counts):

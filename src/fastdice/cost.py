@@ -233,7 +233,7 @@ def batch_cost(n: int, j: int) -> float:
         ValueError: n < 2 or j < 1.
         Overflow: n**j > 2**62 (the sampler could not run the batch).
     """
-    return exact_cost(plan_batch(n, j).n_pow_j) / j
+    return _exact_cost(plan_batch(n, j).n_pow_j) / j
 
 
 def _lowest_terms(p: Rational) -> tuple[int, int]:

@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 120  # seconds per row
 
 FDR = "tests/test_fdr.py::"
+PERM = "tests/test_permutation.py::"
 MUTANTS = [
     # The flip cap: raise one step early, or far too soon.
     ("src/fastdice/core.py", "if bits > _MAX_FLIPS:",
@@ -116,6 +117,23 @@ MUTANTS = [
      "stat = 0.0",
      "tests/test_cli.py::"
      "test_chi_square_adds_the_expectation_of_each_unseen_cell"),
+    # bench tallying each value drawn once, however often it came up.
+    ("src/fastdice/cli.py", "counts = Counter(draws)",
+     "counts = Counter(set(draws))",
+     "tests/test_golden.py::test_cli_output_matches_golden[bench]"),
+    # A Fisher-Yates swap with the digit's offset from 0, not from i.
+    ("src/fastdice/permutation.py", "k = i + d", "k = d",
+     PERM + "test_fy_bijection_example"),
+    # A rank's digits split with the radices in the wrong order.
+    ("src/fastdice/permutation.py", "[0], range(n, 0, -1))",
+     "[0], range(1, n + 1))",
+     PERM + "test_unranked_flip_law_is_fdr_uniform_on_n_factorial"),
+    # The unranking cap refusing its own bound, 20.
+    ("src/fastdice/permutation.py", "> MAX_UNRANK_SIZE:",
+     ">= MAX_UNRANK_SIZE:", PERM + "test_unranked_singleton_and_cap"),
+    # A rank of exactly n! let through.
+    ("src/fastdice/permutation.py", "value >= math.factorial(n)",
+     "value > math.factorial(n)", PERM + "test_rank_bounds"),
 ]
 
 

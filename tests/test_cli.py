@@ -284,6 +284,8 @@ def test_chi_square_adds_the_expectation_of_each_unseen_cell():
     # Cell 3 holds both draws of 2; each of the 3 cells never drawn adds
     # its expectation 0.5, and cell 3 adds (2 - 0.5)**2 / 0.5 = 4.5.
     assert cli._chi_square({3: 2}, 4, 2) == 6.0
+    # No draws: every cell expects 0.0, so the statistic is 0.0.
+    assert cli._chi_square({}, 4, 0) == 0.0
 
 
 def test_bench_chi_square_with_unseen_cells(capsys):

@@ -1,16 +1,19 @@
-"""Golden CLI outputs: fixed-seed runs must print byte-identical text
-across versions, not just across two runs of one build.
+"""Golden outputs: fixed-seed runs of the CLI and of each script in
+``demos/`` must print byte-identical text across versions, not just
+across two runs of one build.
 
-Each case runs ``python -m fastdice`` as a subprocess.  A case that exits
-0 has its stdout in ``golden/<name>.txt`` and must write nothing to
-stderr; a case that exits 2 has its stderr there and must write nothing
-to stdout.  ``golden_mismatch`` holds that rule once; CI also runs it
-on the installed ``fastdice`` script.  Every run goes through
-``conftest.run_checkout``, so it imports this checkout's ``src``.  The
-files were captured by running this module as a script
+A CLI case runs ``python -m fastdice`` as a subprocess; a demo runs as
+``python demos/<name>.py`` and must exit 0.  A run that exits 0 has its
+stdout in ``golden/<name>.txt`` (``golden/demo_<name>.txt`` for a demo)
+and must write nothing to stderr; a case that exits 2 has its stderr
+there and must write nothing to stdout.  ``golden_mismatch`` holds that
+rule once; CI also runs it on the installed ``fastdice`` script for the
+CLI cases.  Every run goes through ``conftest.run_checkout``, so it
+imports this checkout's ``src``.  The files were captured, CLI and
+demos together, by running this module as a script
 (``PYTHONPATH=src python tests/test_golden.py``) in a checkout of the
 code whose output they pin; rewriting them is a deliberate change of the
-CLI's output.
+output.
 """
 
 import sys
@@ -70,18 +73,30 @@ CASES = {
 }
 
 
+DEMOS = {path.stem: path for path in (HERE.parent / "demos").glob("*.py")}
+
 MODULE = [sys.executable, "-m", "fastdice"]
 
 
 def run_case(name, command=MODULE):
+    """Run CLI case `name` through `command`, or demo `name` as a script."""
+    if name in DEMOS:
+        return run_checkout([sys.executable, str(DEMOS[name])])
     return run_checkout([*command, *CASES[name][0]])
+
+
+def expected(name):
+    """(exit status, golden file) of CLI case or demo `name`."""
+    if name in DEMOS:
+        return 0, GOLDEN / f"demo_{name}.txt"
+    return CASES[name][1], GOLDEN / f"{name}.txt"
 
 
 def golden_mismatch(name, command):
     """Run case `name` through `command` (``python -m fastdice``, or the
-    installed ``fastdice`` script) and return what breaks the golden
-    rule, or None when the run keeps it."""
-    status = CASES[name][1]
+    installed ``fastdice`` script; a demo ignores it) and return what
+    breaks the golden rule, or None when the run keeps it."""
+    status, golden = expected(name)
     proc = run_case(name, command)
     if proc.returncode != status:
         return f"exit status {proc.returncode}, expected {status}"
@@ -89,8 +104,8 @@ def golden_mismatch(name, command):
                      else (proc.stderr, proc.stdout))
     if silent:
         return f"wrote to the stream that must stay empty: {silent!r}"
-    if shown != (GOLDEN / f"{name}.txt").read_bytes():
-        return f"output differs from golden/{name}.txt"
+    if shown != golden.read_bytes():
+        return f"output differs from golden/{golden.name}"
     return None
 
 
@@ -99,10 +114,21 @@ def test_cli_output_matches_golden(name):
     assert golden_mismatch(name, MODULE) is None
 
 
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_output_matches_golden(name):
+    assert golden_mismatch(name, MODULE) is None
+
+
+def test_every_demo_has_a_golden():
+    assert len(DEMOS) == 5
+    assert not set(DEMOS) & set(CASES)  # one name, one golden file
+    assert {expected(n)[1] for n in DEMOS} == set(GOLDEN.glob("demo_*.txt"))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, (_, status) in CASES.items():
+    for name in [*CASES, *DEMOS]:
+        status, golden = expected(name)
         proc = run_case(name)
         assert proc.returncode == status, (name, proc.returncode, proc.stderr)
-        (GOLDEN / f"{name}.txt").write_bytes(
-            proc.stdout if status == 0 else proc.stderr)
+        golden.write_bytes(proc.stdout if status == 0 else proc.stderr)
