@@ -50,10 +50,11 @@ _LANE_MASK = sum(_MASK64 << 128 * i for i in range(_LANES))
 _LANE_STEP = sum(((_LANES * _GAMMA) & _MASK64) << 128 * i
                  for i in range(_LANES))
 # Packing the four words (bits 32..63 of each lane) into one block: the
-# words sit at 0, 128, 256 and 384; folding by 96 brings them to 0, 32,
-# 256 and 288, and folding by 192 to 0, 32, 64 and 96.
+# words sit at 0, 128, 256 and 384.  Folding by 96 adds copies at 32,
+# 160 and 288, each word in its own 32-bit slot; folding by 192 brings
+# 256 and 288 down to 64 and 96.  Nothing else lands below 128, so the
+# one mask, to 128 bits, leaves the words of 0, 32, 64 and 96.
 _LANE_WORDS = sum(0xFFFFFFFF << 128 * i for i in range(_LANES))
-_WORD_PAIRS = _MASK64 | _MASK64 << 256
 _MASK128 = (1 << 128) - 1
 
 
@@ -92,7 +93,7 @@ class SplitMix64Words:
         # z >> 31 carries only into the lanes' high halves, which no word
         # reads, so the last round needs no mask.
         y = (z ^ (z >> 31)) >> 32 & _LANE_WORDS
-        y = (y | y >> 96) & _WORD_PAIRS
+        y |= y >> 96
         block = (y | y >> 192) & _MASK128
         left = self._left
         if left:  # next_word began the held block: its rest comes first

@@ -24,13 +24,19 @@ digits and the swaps: they build no ``Rank``, and the digits of a rank
 below n! are in range by construction, so no ``LehmerCode`` is checked
 again.
 
-``_swaps`` walks digits it is given: a code's, or a rank's.
-``fisher_yates`` does not go through it.  Its shuffle swaps each digit
-in the step that draws it, in one frame in ``core`` next to ``_fdr``'s
-first read.  Feeding ``_swaps`` instead would need the digits as a list
-(a second loop over n - 1 stored values) or as a generator (a frame
-resumed per digit), and either costs more than the swap line it would
-share.
+``_swaps`` walks the digits of a code it is given.  Neither drawing
+route goes through it: each swaps every digit in as it comes, in one
+frame.  ``fisher_yates``'s shuffle, in ``core`` next to ``_fdr``'s first
+read, swaps each digit in the step that draws it.
+``random_permutation_unranked`` divides its rank's digits out most
+significant first and swaps each in the step that divides it out.
+Feeding ``_swaps`` instead would need the digits as a list (a second
+loop over n - 1 stored values) or as a generator (a frame resumed per
+digit), and either costs more than the swap line it would share.  Every
+divisor of the rank route fits in one of CPython's 30-bit int digits
+(12! < 2**30 < 13!), so each division is by a single digit: the rank
+is split once into its quotient and remainder by 12!, and the upper
+digits come from the quotient, the lower from the remainder.
 
 Permutation values are one-indexed; ranks and code digits are zero-based.
 """
@@ -52,9 +58,9 @@ from .errors import (DigitOutOfRange, FactorialOverflow, RankOutOfRange,
 MAX_UNRANK_SIZE = 20
 
 
-def check_unrank_size(n: int) -> None:
+def check_unrank_size(n: int) -> int:
     """Raise unless n is an integer with 0 <= n <= 20, the sizes whose
-    rank below n! can be drawn.
+    rank below n! can be drawn; return n as an int.
 
     Reads no flip, so a caller can validate a draw before making it.
 
@@ -63,9 +69,33 @@ def check_unrank_size(n: int) -> None:
         ValueError: n < 0.
         FactorialOverflow: n > 20.
     """
-    if _at_least("n", n, 0) > MAX_UNRANK_SIZE:
+    n = _at_least("n", n, 0)
+    if n > MAX_UNRANK_SIZE:
         raise FactorialOverflow(
             f"{n}! exceeds the 64-bit working range (cap is n = 20)")
+    return n
+
+
+def _unranking(split: int) -> tuple:
+    """For each n <= 20, how ``random_permutation_unranked`` divides a
+    rank y below n!: (n!, split!, upper, lower).
+
+    Step i takes digit floor(y / k!) mod (n - i), k = n - 1 - i.  With
+    y = hi * split! + lo, the steps with k >= split divide hi by
+    ``upper``, k!/split!, and the others divide lo by ``lower``, k!.
+    Both run most significant first, each step keeping the remainder
+    of its division; the last digit, always 0, has no step.
+    """
+    f = math.factorial
+    return tuple(
+        (f(n), f(split),
+         tuple(f(k) // f(split) for k in range(n - 1, split - 1, -1)),
+         tuple(f(k) for k in range(min(n, split) - 1, 0, -1)))
+        for n in range(MAX_UNRANK_SIZE + 1))
+
+
+# 12! is the largest factorial below 2**30, and 19!/12! < 2**28.
+_UNRANKING = _unranking(12)
 
 
 class LehmerCode(_Record, namedtuple("LehmerCode", "digits")):
@@ -187,7 +217,7 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
 
 def _rank_digits(source: RandomBitSource, n: int) -> list[int]:
     """The factorial-base digits of one uniform rank below n!."""
-    check_unrank_size(n)
+    n = check_unrank_size(n)
     return _split(_fdr(source, math.factorial(n))[0], range(n, 0, -1))
 
 
@@ -211,10 +241,11 @@ def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
 def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
     """Uniform permutation from a single uniform rank below n!.
 
-    The digits ``random_lehmer_code`` draws, sent straight through the
-    Fisher-Yates swaps (``lehmer_to_permutation_fy``) without building the
-    code.  Total expected bits are u(n!), optimal for generating the
-    permutation as one object.
+    The digits ``random_lehmer_code`` draws, sent through the
+    Fisher-Yates swaps (``lehmer_to_permutation_fy``) as they are divided
+    out, most significant first, without building the code.  Total
+    expected bits are u(n!), optimal for generating the permutation as
+    one object.
 
     Raises:
         TypeError: n is not an integer.
@@ -222,8 +253,19 @@ def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
         All come from ``check_unrank_size``.
     """
-    digits = _rank_digits(source, n)  # checks n before the list is built
-    return _swaps(list(range(1, len(digits) + 1)), digits)
+    n = check_unrank_size(n)  # before the list is built
+    size, split, upper, lower = _UNRANKING[n]
+    hi, lo = divmod(_fdr(source, size)[0], split)
+    t = list(range(1, n + 1))
+    for i, f in enumerate(upper):
+        k = i + hi // f
+        hi %= f
+        t[i], t[k] = t[k], t[i]
+    for i, f in enumerate(lower, len(upper)):
+        k = i + lo // f
+        lo %= f
+        t[i], t[k] = t[k], t[i]
+    return t
 
 
 def inversion_count(perm: Sequence[int]) -> int:

@@ -127,7 +127,19 @@ MUTANTS = [
     # A rank's digits split with the radices in the wrong order.
     ("src/fastdice/permutation.py", "[0], range(n, 0, -1))",
      "[0], range(1, n + 1))",
-     PERM + "test_unranked_flip_law_is_fdr_uniform_on_n_factorial"),
+     "tests/test_differential.py::test_permutation_routes_match_reference"
+     "[code]"),
+    # Unranking's swap above the split with the digit's offset from 0,
+    # not from i, which the walk (n <= 6) reaches only at a split of 3.
+    ("src/fastdice/permutation.py",
+     "k = i + hi // f", "k = hi // f",
+     PERM + "test_unranked_flip_law_is_fdr_uniform_on_n_factorial"
+     "[split_at_3]"),
+    # Unranking's rank split at (split + 1)! instead of split!.
+    ("src/fastdice/permutation.py", "(f(n), f(split),",
+     "(f(n), f(split + 1),",
+     "tests/test_differential.py::test_permutation_routes_match_reference"
+     "[unranked]"),
     # The unranking cap refusing its own bound, 20.
     ("src/fastdice/permutation.py", "> MAX_UNRANK_SIZE:",
      ">= MAX_UNRANK_SIZE:", PERM + "test_unranked_singleton_and_cap"),

@@ -501,6 +501,15 @@ def test_permutation_routes_match_reference(route):
                 assert got == LehmerCode(got.digits)
 
 
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_permutation_routes_draw_an_index_like_its_int(route):
+    draw = ROUTES[route][0]
+    for n in (0, 1, 6, 12, 13, 20):
+        new, ref = BufferedWordSource(n), BufferedWordSource(n)
+        assert draw(new, Index(n)) == draw(ref, n)
+        assert state(new) == state(ref)
+
+
 def test_rank_routes_keep_their_guards():
     # Each check raises what the draws it guards raise, with the same
     # message, before a single flip: fisher_yates before it builds its

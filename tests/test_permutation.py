@@ -7,7 +7,7 @@ from fastdice import (BufferedWordSource, DigitOutOfRange, FactorialOverflow,
                       LehmerCode, Rank, RankOutOfRange, ScriptedBitSource,
                       factorial_compose, factorial_decompose, fdr_uniform,
                       fisher_yates, inversion_count, lehmer_to_permutation_fy,
-                      lehmer_to_permutation_selection,
+                      lehmer_to_permutation_selection, permutation,
                       random_permutation_unranked)
 
 from conftest import walk
@@ -156,10 +156,17 @@ def test_unranked_matches_rank_pipeline():
         assert perm == expected
 
 
-def test_unranked_flip_law_is_fdr_uniform_on_n_factorial():
+@pytest.mark.parametrize("split", [None, 3], ids=["split_at_12",
+                                                  "split_at_3"])
+def test_unranked_flip_law_is_fdr_uniform_on_n_factorial(monkeypatch, split):
     # The rank draw is the only one, so the tree is fdr_uniform(n!)'s,
-    # leaf for leaf, with each rank's permutation at its leaves.
-    for n in range(6):
+    # leaf for leaf, with each rank's permutation at its leaves.  The
+    # real split, at 12!, is past these n; split at 3! instead, n = 4..6
+    # take digits from both the quotient and the remainder.
+    if split is not None:
+        monkeypatch.setattr(permutation, "_UNRANKING",
+                            permutation._unranking(split))
+    for n in range(7):
         leaves, open_ = walk(
             lambda s: random_permutation_unranked(s, n), 40)
         ranks, rank_open = walk(
