@@ -5,8 +5,9 @@ times.  Drawing a single uniform on {0,...,n**j - 1} and reading off its
 j base-n digits pays the toll once, so the per-value cost drops from
 u(n) to u(n**j)/j, within 2/j bits of the log2(n) entropy floor.
 
-The master draw is split by ``core._split``, the mixed-radix split that
-also writes a permutation rank's factorial-base digits.  A ``BatchPlan``
+``batch_uniform`` splits the master draw into its digits in its own
+frame, least significant first into a list built at its full length, so
+it builds no radix list and reverses nothing.  A ``BatchPlan``
 is checked when it is built, by ``plan_batch`` or directly, so a draw
 checks nothing but the master range.
 """
@@ -17,7 +18,7 @@ from collections import namedtuple
 from operator import index
 
 from .bitsource import RandomBitSource
-from .core import MAX_UNIFORM_RANGE, _fdr, _split, check_range
+from .core import MAX_UNIFORM_RANGE, _fdr, check_range
 from .errors import Overflow, _at_least, _Record
 
 
@@ -97,4 +98,11 @@ def batch_uniform(source: RandomBitSource, plan: BatchPlan) -> list[int]:
     digits, most significant digit first.  The digits are independent
     and exactly uniform, in the listed order.
     """
-    return _split(_fdr(source, plan.n_pow_j)[0], [plan.n] * plan.j)
+    n = plan.n
+    y = _fdr(source, plan.n_pow_j)[0]
+    digits = [0] * plan.j
+    for i in range(plan.j - 1, 0, -1):
+        digits[i] = y % n
+        y //= n
+    digits[0] = y  # y < n after j - 1 divisions
+    return digits

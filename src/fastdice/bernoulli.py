@@ -27,8 +27,9 @@ from .errors import ImproperFraction, _at_least
 MAX_DENOMINATOR = MAX_UNIFORM_RANGE
 
 
-def check_denominator(den: int) -> None:
-    """Raise unless den is an integer within the 2**62 limit.
+def check_denominator(den: int) -> int:
+    """Raise unless den is an integer within the 2**62 limit; return den
+    as an int.
 
     Reads no flip, so a caller can validate a draw before making it.
 
@@ -36,8 +37,10 @@ def check_denominator(den: int) -> None:
         TypeError: den is not an integer.
         ValueError: den > 2**62.
     """
-    if index(den) > MAX_DENOMINATOR:
+    den = index(den)
+    if den > MAX_DENOMINATOR:
         raise ValueError(f"denominator {den} exceeds 2**62")
+    return den
 
 
 class Rational:

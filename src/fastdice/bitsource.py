@@ -22,6 +22,12 @@ bit served are counted nowhere.  Every refill, whichever method needs
 it, goes through the one fill loop in ``next_bits``, which masks each
 fill to its width, counts it, and leaves the counters right when a fill
 raises.
+
+Every mask a read applies comes from one module table, ``_LOW_MASKS``,
+whose entry i is 2**i - 1 for i = 0..128: a read in the buffer never
+asks for more bits than the buffer holds, and it holds at most 128.  A
+lookup costs less than the shift and subtraction that would build the
+mask on every read, and every Bernoulli draw makes such a read.
 """
 
 from __future__ import annotations
@@ -56,6 +62,10 @@ _LANE_STEP = sum(((_LANES * _GAMMA) & _MASK64) << 128 * i
 # one mask, to 128 bits, leaves the words of 0, 32, 64 and 96.
 _LANE_WORDS = sum(0xFFFFFFFF << 128 * i for i in range(_LANES))
 _MASK128 = (1 << 128) - 1
+
+# _LOW_MASKS[i] is 2**i - 1, the mask of a buffer's low i bits (see the
+# module docstring).
+_LOW_MASKS = tuple((1 << i) - 1 for i in range(129))
 
 
 class SplitMix64Words:
@@ -193,6 +203,11 @@ class BufferedWordSource(RandomBitSource):
     [0, 2**32) cannot push a draw out of range, counts the fill, and
     leaves the counters right when a fill raises.  Either way, k bits
     cost exactly ceil(k/32) words whichever method reads them.
+    Masks are looked up in ``_LOW_MASKS`` (see the module docstring).
+    The in-buffer path of ``next_bits`` takes only 0 <= k <= the bits
+    left, because a negative index would read the table from its end:
+    a negative k goes on to the fill path, which raises ``ValueError``
+    before it stores anything.
     State is per instance: independent sources never share a buffer or
     counter, and a copy of a seeded source has its own generator.
 
@@ -217,7 +232,7 @@ class BufferedWordSource(RandomBitSource):
             raise TypeError(
                 "need an int seed or a word generator with next_word(), "
                 f"got {type(seed_or_generator).__name__}")
-        self._mask = (1 << self._width) - 1
+        self._mask = _LOW_MASKS[self._width]
         self._buf = 0
         self._pos = 0  # bits still unread in the buffer
         self._filled = 0  # bits put into the buffer
@@ -241,8 +256,8 @@ class BufferedWordSource(RandomBitSource):
 
     def next_bits(self, k: int) -> int:
         pos = self._pos
-        if k <= pos:
-            mask = (1 << k) - 1  # a negative k raises here, before any store
+        if 0 <= k <= pos:  # a negative k goes on to raise on the fill path
+            mask = _LOW_MASKS[k]  # a non-integer k raises before any store
             self._pos = pos = pos - k
             return (self._buf >> pos) & mask
         # Drain the buffer, then fill until the last fill is only partly
@@ -251,8 +266,9 @@ class BufferedWordSource(RandomBitSource):
         # meanwhile, so a fill that raises leaves the counters where k
         # calls of next_bit would.
         k -= pos
-        # A non-integer k (40.0, NaN, inf) raises here, before any store.
-        x = (self._buf & ((1 << pos) - 1)) << k
+        # A negative or non-integer k (-1, 40.0, NaN, inf) raises here,
+        # before any store.
+        x = (self._buf & _LOW_MASKS[pos]) << k
         self._pos = 0
         fill, mask, width = self._fill, self._mask, self._width
         while True:
@@ -270,7 +286,7 @@ class BufferedWordSource(RandomBitSource):
     def next_geometric(self) -> int:
         pos = self._pos
         # The first unread 1 is bit (left - 1) of the buffer.
-        left = (self._buf & ((1 << pos) - 1)).bit_length()
+        left = (self._buf & _LOW_MASKS[pos]).bit_length()
         if left:
             self._pos = left - 1
             return pos - left + 1

@@ -62,8 +62,9 @@ r_C = 2**C mod n is the size of the range still undecided after C
 flips.
 
 ``_split`` writes an integer in a mixed radix, most significant digit
-first.  It turns one master draw into many values: a batch's base-n
-digits, a rank's factorial-base Lehmer code.
+first.  It turns a rank into its factorial-base Lehmer code, for
+``factorial_decompose`` and the code draws.  Batches and unranking split
+their draws in their own frames and do not call it.
 
 A size must be an integer: an int, or anything with ``__index__``.
 ``check_range`` refuses anything else with ``TypeError`` through
@@ -217,7 +218,11 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
 def _split(y: int, radices: Sequence[int]) -> list[int]:
     """Digits of 0 <= y < prod(radices) in that mixed radix, most
     significant first: y = (...(d[0]*r[1] + d[1])*r[2] + ...) + d[-1],
-    with 0 <= d[i] < radices[i]."""
+    with 0 <= d[i] < radices[i].
+
+    Serves the factorial-rank routes only (``factorial_decompose`` and
+    ``permutation._rank_digits``); ``batch.batch_uniform`` splits its
+    base-n digits in its own frame."""
     digits = []
     for r in reversed(radices):
         y, d = divmod(y, r)

@@ -53,13 +53,28 @@ MUTANTS = [
     ("src/fastdice/core.py", "j = width - v.bit_length()",
      "j = width - v.bit_length() + 1",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
-    # Mixed-radix digits least significant first: batches reversed.
+    # Mixed-radix digits least significant first: rank codes reversed.
     ("src/fastdice/core.py", "    digits.reverse()\n", "",
-     "tests/test_batch.py::test_decomposition_bijective"),
+     "tests/test_differential.py::test_permutation_routes_match_reference"
+     "[code]"),
+    # A batch's digit loop one step short, or its leading digit put last.
+    ("src/fastdice/batch.py", "range(plan.j - 1, 0, -1)",
+     "range(plan.j - 1, 1, -1)",
+     "tests/test_differential.py::test_batch_matches_reference"),
+    ("src/fastdice/batch.py", "digits[0] = y", "digits[-1] = y",
+     "tests/test_differential.py::test_batch_matches_reference"),
     # A fill read past the generator's 32 bits.
     ("src/fastdice/bitsource.py", "buf = fill() & mask", "buf = fill()",
      "tests/test_bitsource.py::"
      "test_a_fill_past_its_width_reads_as_its_low_bits_on_every_read"),
+    # The in-buffer read without its lower bound: a negative k indexes
+    # the mask table from its end instead of raising.
+    ("src/fastdice/bitsource.py", "if 0 <= k <= pos:", "if k <= pos:",
+     "tests/test_bitsource.py::"
+     "test_negative_width_raises_and_changes_nothing"),
+    # Every mask in the table one bit too wide.
+    ("src/fastdice/bitsource.py", "(1 << i) - 1", "(1 << i + 1) - 1",
+     "tests/test_bitsource.py::test_every_in_buffer_read_matches_next_bit"),
     # A geometric read that miscounts the flips after a refill.
     ("src/fastdice/bitsource.py", "return t + width - left + 1",
      "return t + width - left + 2",

@@ -6,11 +6,11 @@ from operator import methodcaller
 
 import pytest
 
-from fastdice import (BufferedWordSource, ScriptExhausted,
+from fastdice import (BufferedWordSource, RandomBitSource, ScriptExhausted,
                       ScriptedBitSource, ScriptedWords, SplitMix64Words,
                       fdr_uniform)
 
-from conftest import NextBitOnly, Words
+from conftest import NextBitOnly, Words, state
 
 
 def test_scripted_identity():
@@ -138,6 +138,32 @@ def test_next_bits_equals_next_bit_calls():
         assert bulk.next_bits(k) == expected
         assert bulk.bits_consumed() == single.bits_consumed()
         assert bulk.words_fetched == single.words_fetched
+
+
+@pytest.mark.parametrize("make, width", [
+    (BufferedWordSource, 128),
+    (lambda seed: BufferedWordSource(SplitMix64Words(seed)), 32)],
+    ids=["seeded", "generator"])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_every_in_buffer_read_matches_next_bit(make, width, seed):
+    # At every position a read can find the buffer in: each in-buffer
+    # read of k <= pos bits, the read of pos + 1 that drains the buffer
+    # into a fill, and a geometric read, each against RandomBitSource's
+    # loop over next_bit.  So every mask a read can look up is checked.
+    def at(pos):
+        src = make(seed)
+        src.next_bits(3 * width - pos)  # two whole fills, then all but pos
+        return src
+
+    for pos in range(width):
+        reads = [("next_bits", k) for k in range(pos + 2)]
+        for name, *args in reads + [("next_geometric",)]:
+            src, ref = at(pos), at(pos)
+            assert (getattr(src, name)(*args)
+                    == getattr(RandomBitSource, name)(ref, *args))
+            assert state(src) == state(ref)
+            assert src.next_bits(width) == RandomBitSource.next_bits(ref,
+                                                                     width)
 
 
 def test_next_bits_zero_reads_nothing():

@@ -15,6 +15,10 @@ list and at the sizes where its width steps down.  With the flip cap
 lowered, the library's tree must be the reference's, with a raise in
 place of each node the reference has not decided at its first decision
 past the cap.
+``reference_batch_uniform`` splits one draw below n**j into its base-n
+digits by repeated ``divmod``; ``batch_uniform`` must return the same
+digits and leave the source in the same state, on every plan with
+n <= 40 and on the widest plans.
 ``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
 its whole period, as the library did before it shared the uniform cost's
 closed form; the two must give identical Fractions.
@@ -43,11 +47,11 @@ import pytest
 from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
                       FdrOutcome, LehmerCode, Rank, Rational,
                       ScriptExhausted, ScriptedBitSource, ScriptedWords,
-                      bernoulli_rational,
+                      auto_batch_size, batch_uniform, bernoulli_rational,
                       check_denominator, check_range, check_unrank_size,
                       factorial_compose, factorial_decompose, fdr_uniform,
-                      fisher_yates, nu_exact, random_lehmer_code,
-                      random_permutation_unranked)
+                      fisher_yates, nu_exact, plan_batch,
+                      random_lehmer_code, random_permutation_unranked)
 from fastdice import core, cost
 from fastdice.cli import _PERM_ROUTES
 
@@ -87,6 +91,16 @@ def reference_bernoulli(source, p):
             b = 0
         if source.next_bit():
             return b
+
+
+def reference_batch_uniform(source, n, j):
+    """One draw below n**j, then its base-n digits by repeated divmod."""
+    y = fdr_uniform(source, n ** j).value
+    digits = []
+    for _ in range(j):
+        y, d = divmod(y, n)
+        digits.append(d)
+    return digits[::-1]
 
 
 def ranges():
@@ -163,6 +177,23 @@ def test_flip_cap_keeps_returned_draws_exact(n, monkeypatch):
     assert decisions.isdisjoint(range(cap + 1, t))
     values = law({p: got.value for p, got in returned.items()})
     assert len(values) == n and len(set(values.values())) == 1
+
+
+def batch_plans():
+    """Every (n, j) with n <= 40, and the widest plans at the edges."""
+    plans = [(n, j) for n in range(2, 41)
+             for j in range(1, auto_batch_size(n) + 1)]
+    return plans + [(2, 62), (3, 39), (2 ** 31 - 1, 2)]
+
+
+def test_batch_matches_reference():
+    for seed, (n, j) in enumerate(batch_plans()):
+        plan = plan_batch(n, j)
+        new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        for _ in range(8):
+            assert batch_uniform(new, plan) == reference_batch_uniform(
+                ref, n, j)
+            assert state(new) == state(ref)
 
 
 @pytest.mark.parametrize("p", bernoulli_biases(),
@@ -539,6 +570,16 @@ def test_rank_routes_keep_their_guards():
                 assert type(got.value) is type(want.value)
                 assert str(got.value) == str(want.value)
                 assert source.bits_consumed() == 0
+
+
+@pytest.mark.parametrize("check, value", [
+    (check_range, 1), (check_range, 2 ** 62),
+    (check_denominator, 1), (check_denominator, 2 ** 62),
+    (check_unrank_size, 0), (check_unrank_size, 20)])
+def test_checks_return_the_int_they_checked(check, value):
+    for arg in (value, Index(value)):
+        got = check(arg)
+        assert type(got) is int and got == value
 
 
 def ranks():
