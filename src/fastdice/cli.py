@@ -24,14 +24,15 @@ from .permutation import (check_unrank_size, fisher_yates,
                           lehmer_to_permutation_selection, random_lehmer_code,
                           random_permutation_unranked)
 
-# perm --method: fy draws the code digit by digit, unrank and lehmer draw
-# it as one rank below n!; fy and unrank map it by the Fisher-Yates swaps,
+# perm --method: (route, the check its n must pass).  fy draws the code
+# digit by digit, its first digit on n values; unrank and lehmer draw it
+# as one rank below n!.  fy and unrank map it by the Fisher-Yates swaps,
 # lehmer by the selection construction.
 _PERM_ROUTES = {
-    "fy": fisher_yates,
-    "unrank": random_permutation_unranked,
-    "lehmer": lambda source, n: lehmer_to_permutation_selection(
-        random_lehmer_code(source, n)),
+    "fy": (fisher_yates, check_range),
+    "unrank": (random_permutation_unranked, check_unrank_size),
+    "lehmer": (lambda source, n: lehmer_to_permutation_selection(
+        random_lehmer_code(source, n)), check_unrank_size),
 }
 
 
@@ -187,12 +188,9 @@ def cmd_uniform(args: argparse.Namespace) -> int:
 
 
 def cmd_perm(args: argparse.Namespace) -> int:
-    # fy draws its first digit on n values, unrank and lehmer one rank
-    # below n!; n = 0, the empty permutation, is valid on every route.
-    check = check_range if args.method == "fy" else check_unrank_size
-    check(args.n or 1)
+    route, check = _PERM_ROUTES[args.method]
+    check(args.n or 1)  # n = 0, the empty permutation, is valid everywhere
     source = BufferedWordSource(args.seed)
-    route = _PERM_ROUTES[args.method]
     perms = (" ".join(str(v) for v in route(source, args.n))
              for _ in range(args.count))
     return _print_draws(args, None, perms, source, args.count)

@@ -61,11 +61,6 @@ the cap with probability at most r_C / 2**C < 2**(62 - C), where
 r_C = 2**C mod n is the size of the range still undecided after C
 flips.
 
-``_split`` writes an integer in a mixed radix, most significant digit
-first.  It turns a rank into its factorial-base Lehmer code, for
-``factorial_decompose`` and the code draws.  Batches and unranking split
-their draws in their own frames and do not call it.
-
 A size must be an integer: an int, or anything with ``__index__``.
 ``check_range`` refuses anything else with ``TypeError`` through
 ``errors._at_least`` and returns the int it checked.  ``_fdr`` adds no
@@ -81,7 +76,7 @@ sizes are at most the length of its list, which its caller checked.
 from __future__ import annotations
 
 from operator import index
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .bitsource import RandomBitSource
 from .errors import EmptyRange, FastdiceError, RangeTooLarge, _at_least
@@ -213,22 +208,6 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
         c += i
         t[i], t[c] = t[c], t[i]
     return t
-
-
-def _split(y: int, radices: Sequence[int]) -> list[int]:
-    """Digits of 0 <= y < prod(radices) in that mixed radix, most
-    significant first: y = (...(d[0]*r[1] + d[1])*r[2] + ...) + d[-1],
-    with 0 <= d[i] < radices[i].
-
-    Serves the factorial-rank routes only (``factorial_decompose`` and
-    ``permutation._rank_digits``); ``batch.batch_uniform`` splits its
-    base-n digits in its own frame."""
-    digits = []
-    for r in reversed(radices):
-        y, d = divmod(y, r)
-        digits.append(d)
-    digits.reverse()
-    return digits
 
 
 def fdr_uniform_range(source: RandomBitSource, lo: int, hi: int) -> int:

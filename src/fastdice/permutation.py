@@ -7,8 +7,8 @@ a fixed bijection.  Two ways to draw a code, times two bijections:
 * Drawing the code: digit by digit, each uniform on its own size, which
   spends u(n) + ... + u(2) flips (``fisher_yates``, each digit drawn
   and swapped in at once by ``core._fdr_shuffle``); or as one uniform
-  rank below n! split in factorial base by ``core._split``, which
-  spends u(n!) flips, the optimum for the whole object
+  rank below n! split in factorial base by ``_code``, which spends
+  u(n!) flips, the optimum for the whole object
   (``random_lehmer_code``).
 * Mapping it: the Fisher-Yates swaps, where step i swaps position i
   with i + digit i (``lehmer_to_permutation_fy``, linear time); or
@@ -20,9 +20,13 @@ a fixed bijection.  Two ways to draw a code, times two bijections:
 ``random_permutation_unranked`` is the rank draw through the swaps; the
 rank draw through the selection construction is the CLI's ``lehmer``
 method.  The drawing routes go from the drawn integers straight to the
-digits and the swaps: they build no ``Rank``, and the digits of a rank
-below n! are in range by construction, so no ``LehmerCode`` is checked
-again.
+digits and the swaps, and build no ``Rank``.
+
+``_code`` is the one split of a rank into its code, for both
+``factorial_decompose`` and ``random_lehmer_code``.  The digits of a
+rank below n! are in range by construction, so no ``LehmerCode`` built
+from a rank is checked again: a ``Rank`` has already checked its value
+against n!, and a drawn rank is below n!.
 
 ``_swaps`` walks the digits of a code it is given.  Neither drawing
 route goes through it: each swaps every digit in as it comes, in one
@@ -49,7 +53,7 @@ from operator import index
 from typing import Iterable, Sequence
 
 from .bitsource import RandomBitSource
-from .core import _fdr, _fdr_shuffle, _split, check_range
+from .core import _fdr, _fdr_shuffle, check_range
 from .errors import (DigitOutOfRange, FactorialOverflow, RankOutOfRange,
                      _at_least, _Record)
 
@@ -147,6 +151,20 @@ class Rank(_Record, namedtuple("Rank", "value n")):
         return tuple.__new__(cls, (value, n))
 
 
+def _code(y: int, n: int) -> LehmerCode:
+    """The Lehmer code of a rank 0 <= y < n!, for any n.
+
+    Digit idx is divided out with its positional size n - idx, from the
+    last digit up, into a list built at full length; the last digit,
+    of size 1, is always 0 and is not divided out.  The digits are in
+    range by construction, so the record skips ``LehmerCode``'s check.
+    """
+    digits = [0] * n
+    for idx in range(n - 2, -1, -1):
+        y, digits[idx] = divmod(y, n - idx)
+    return tuple.__new__(LehmerCode, (tuple(digits),))
+
+
 def factorial_decompose(rank: Rank) -> LehmerCode:
     """Write a rank in factorial base: U = X_n*(n-1)! + ... + X_1*0!.
 
@@ -154,7 +172,7 @@ def factorial_decompose(rank: Rank) -> LehmerCode:
     from the lowest position up; the digit bounds make the representation
     unique.
     """
-    return LehmerCode(_split(rank.value, range(rank.n, 0, -1)))
+    return _code(rank.value, rank.n)
 
 
 def factorial_compose(code: LehmerCode) -> Rank:
@@ -215,12 +233,6 @@ def fisher_yates(source: RandomBitSource, n: int) -> list[int]:
     return _fdr_shuffle(source, list(range(1, n + 1)))
 
 
-def _rank_digits(source: RandomBitSource, n: int) -> list[int]:
-    """The factorial-base digits of one uniform rank below n!."""
-    n = check_unrank_size(n)
-    return _split(_fdr(source, math.factorial(n))[0], range(n, 0, -1))
-
-
 def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
     """Uniform Lehmer code of size n from a single uniform rank below n!.
 
@@ -234,8 +246,8 @@ def random_lehmer_code(source: RandomBitSource, n: int) -> LehmerCode:
         FactorialOverflow: n > 20 (n! would exceed the 64-bit budget).
         All come from ``check_unrank_size``.
     """
-    # The digits of a rank below n! are in range: skip LehmerCode's check.
-    return tuple.__new__(LehmerCode, (tuple(_rank_digits(source, n)),))
+    n = check_unrank_size(n)
+    return _code(_fdr(source, math.factorial(n))[0], n)
 
 
 def random_permutation_unranked(source: RandomBitSource, n: int) -> list[int]:

@@ -53,10 +53,6 @@ MUTANTS = [
     ("src/fastdice/core.py", "j = width - v.bit_length()",
      "j = width - v.bit_length() + 1",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
-    # Mixed-radix digits least significant first: rank codes reversed.
-    ("src/fastdice/core.py", "    digits.reverse()\n", "",
-     "tests/test_differential.py::test_permutation_routes_match_reference"
-     "[code]"),
     # A batch's digit loop one step short, or its leading digit put last.
     ("src/fastdice/batch.py", "range(plan.j - 1, 0, -1)",
      "range(plan.j - 1, 1, -1)",
@@ -132,6 +128,10 @@ MUTANTS = [
      "stat = 0.0",
      "tests/test_cli.py::"
      "test_chi_square_adds_the_expectation_of_each_unseen_cell"),
+    # perm --method fy held to the unranking cap of 20.
+    ("src/fastdice/cli.py", "(fisher_yates, check_range)",
+     "(fisher_yates, check_unrank_size)",
+     "tests/test_cli.py::test_perm_fy_has_no_cap"),
     # bench tallying each value drawn once, however often it came up.
     ("src/fastdice/cli.py", "counts = Counter(draws)",
      "counts = Counter(set(draws))",
@@ -139,9 +139,12 @@ MUTANTS = [
     # A Fisher-Yates swap with the digit's offset from 0, not from i.
     ("src/fastdice/permutation.py", "k = i + d", "k = d",
      PERM + "test_fy_bijection_example"),
-    # A rank's digits split with the radices in the wrong order.
-    ("src/fastdice/permutation.py", "[0], range(n, 0, -1))",
-     "[0], range(1, n + 1))",
+    # A rank's code one digit short: its first digit never divided out.
+    ("src/fastdice/permutation.py", "range(n - 2, -1, -1)",
+     "range(n - 2, 0, -1)", PERM + "test_round_trip_all_ranks"),
+    # A rank's code divided by each size plus one.
+    ("src/fastdice/permutation.py", "divmod(y, n - idx)",
+     "divmod(y, n - idx + 1)",
      "tests/test_differential.py::test_permutation_routes_match_reference"
      "[code]"),
     # Unranking's swap above the split with the digit's offset from 0,

@@ -116,17 +116,22 @@ def test_base2_digits_equal_raw_bits():
 
 
 def test_decomposition_bijective():
-    # all 9 master values of plan(3,2) give all 9 digit pairs exactly once
-    plan = plan_batch(3, 2)
-    leaves, _ = walk(lambda s: fdr_uniform(s, 9).value, 16)
-    seen = set()
-    for y in range(9):
-        # the shortest bit string making fdr_uniform(9) return y
-        bits = min((p for p, value in leaves.items() if value == y), key=len)
-        pair = tuple(batch_uniform(ScriptedBitSource(bits), plan))
-        assert pair == (y // 3, y % 3)  # first digit is most significant
-        seen.add(pair)
-    assert seen == {(a, b) for a in range(3) for b in range(3)}
+    # all n**j master values of a plan give all n**j digit tuples exactly
+    # once, most significant digit first; 7**4 = 2401 < 2**12, so every
+    # master value of plan(7,4) has a leaf by depth 12
+    for n, j, depth in ((3, 2, 16), (7, 4, 12)):
+        plan = plan_batch(n, j)
+        leaves, _ = walk(lambda s: fdr_uniform(s, n ** j).value, depth)
+        seen = set()
+        for y in range(n ** j):
+            # the shortest bit string making fdr_uniform(n**j) return y
+            bits = min((p for p, value in leaves.items() if value == y),
+                       key=len)
+            digits = tuple(batch_uniform(ScriptedBitSource(bits), plan))
+            assert digits == tuple(y // n ** (j - 1 - i) % n
+                                   for i in range(j))
+            seen.add(digits)
+        assert seen == set(itertools.product(range(n), repeat=j))
 
 
 @pytest.mark.parametrize("n, j", [(3, 3), (5, 2), (6, 2), (7, 2), (2, 5),
@@ -144,23 +149,6 @@ def test_batch_is_exactly_uniform(n, j):
     assert law(leaves) == dict.fromkeys(
         itertools.product(range(n), repeat=j), (1 - undecided) / n ** j)
     assert mean_flips([*leaves, *open_]) == cost_partial_sum(n ** j, depth)
-
-
-def test_round_trip_recomposition():
-    plan = plan_batch(7, 4)  # 2401 master values
-    for y in range(2401):
-        digits = decompose_like_batch(y, 7, 4)
-        recomposed = 0
-        for d in digits:
-            recomposed = recomposed * 7 + d
-        assert recomposed == y
-
-
-def decompose_like_batch(y, n, j):
-    out = [0] * j
-    for i in range(j - 1, -1, -1):
-        y, out[i] = divmod(y, n)
-    return out
 
 
 def test_per_variate_cost_identity():

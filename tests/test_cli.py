@@ -178,7 +178,7 @@ def test_out_of_memory_exits_2(monkeypatch, capsys):
     # memory; the route is replaced so that no real allocation is tried
     def exhausted(source, n):
         raise MemoryError
-    monkeypatch.setitem(cli._PERM_ROUTES, "fy", exhausted)
+    monkeypatch.setitem(cli._PERM_ROUTES, "fy", (exhausted, cli.check_range))
     assert main(["perm", "--n", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -512,7 +512,7 @@ ROUTES = {
     "fisher_yates": (fisher_yates, reference_fisher_yates, 60),
     "unranked": (random_permutation_unranked,
                  reference_random_permutation_unranked, 20),
-    "cli_lehmer": (_PERM_ROUTES["lehmer"], reference_cli_lehmer, 20),
+    "cli_lehmer": (_PERM_ROUTES["lehmer"][0], reference_cli_lehmer, 20),
     "code": (random_lehmer_code, reference_lehmer_code, 20),
 }
 
@@ -583,13 +583,18 @@ def test_checks_return_the_int_they_checked(check, value):
 
 
 def ranks():
-    """Every rank for n <= 8, then 2000 seeded ranks for each n <= 20."""
+    """Every rank for n <= 8, then 2000 seeded ranks for each n <= 20,
+    and 500 each for n = 21, 30 and 100: ``factorial_decompose`` takes
+    any n, past the unranking cap."""
     for n in range(9):
         for u in range(math.factorial(n)):
             yield Rank(u, n)
     rng = random.Random(20)
     for n in range(9, 21):
         for _ in range(2000):
+            yield Rank(rng.randrange(math.factorial(n)), n)
+    for n in (21, 30, 100):
+        for _ in range(500):
             yield Rank(rng.randrange(math.factorial(n)), n)
 
 
