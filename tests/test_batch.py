@@ -151,6 +151,19 @@ def test_batch_is_exactly_uniform(n, j):
     assert mean_flips([*leaves, *open_]) == cost_partial_sum(n ** j, depth)
 
 
+def test_round_trip_recomposition(monkeypatch):
+    # every master value of plan(7,4) is split into digits that recompose
+    # to it in base 7, most significant digit first
+    plan = plan_batch(7, 4)  # 2401 master values
+    for y in range(2401):
+        monkeypatch.setattr("fastdice.batch._fdr", lambda source, n: (y, 0))
+        recomposed = 0
+        for d in batch_uniform(None, plan):
+            assert 0 <= d < 7
+            recomposed = recomposed * 7 + d
+        assert recomposed == y
+
+
 def test_per_variate_cost_identity():
     # measured bits per variate equals the master draw's bits over j, and
     # the long-run mean approaches batch_cost
