@@ -22,6 +22,10 @@ The test doubles, each defined here once:
   this checkout's ``src``, so a subprocess tests this code and not an
   installed copy.
 
+``benchmarks/`` goes on ``sys.path`` here, so the tests ``import
+oracle``: the benchmark's bit-at-a-time references, which import
+nothing from ``src/``.
+
 pytest rewrites the asserts of a conftest, as it does a test module's, so
 the walker's checks still fire under ``python -O``; in a plain helper
 module they would be stripped.
@@ -33,6 +37,7 @@ import os
 import random
 import signal
 import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,6 +45,7 @@ from fastdice import (FastdiceError, RandomBitSource, Rational,
                       ScriptExhausted, ScriptedBitSource)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC.parent / "benchmarks"))
 
 
 def walk(draw, depth):

@@ -6,9 +6,10 @@ Run from anywhere, with the test dependencies installed:
     python tests/mutants.py
 
 Each row of ``MUTANTS`` is (file, old text, new text, test node id).
-For each row the script copies ``src/``, ``tests/`` and
-``pyproject.toml`` to a temporary directory, checks that the old text
-occurs exactly once in the file, substitutes the new text, and runs
+For each row the script copies ``src/``, ``tests/``, ``pyproject.toml``
+and ``benchmarks/oracle.py``, the tests' reference samplers, to a
+temporary directory, checks that the old text occurs exactly once in
+the file, substitutes the new text, and runs
 ``python -m pytest -x -q -p no:cacheprovider <node>`` there with
 ``PYTHONPATH`` set to the copy's ``src``.  The mutant is killed only
 when pytest exits 1, with a failed test.  Exit 0 (every test passed),
@@ -44,6 +45,12 @@ MUTANTS = [
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
     ("src/fastdice/core.py", "_MAX_FLIPS = 1024", "_MAX_FLIPS = 96",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
+    # The first read's accept mirrored, n - 1 - c: still uniform on the
+    # same flips, so only a reference that draws apart from ``_fdr``
+    # sees it.
+    ("src/fastdice/core.py", "return c, width", "return n - 1 - c, width",
+     "tests/test_differential.py::test_permutation_routes_match_reference"
+     "[unranked]"),
     # The first read one flip too wide, which a power of two shows.
     ("src/fastdice/core.py",
      "width = (n - 1).bit_length()\n    except",
@@ -142,6 +149,10 @@ MUTANTS = [
     # A rank's code one digit short: its first digit never divided out.
     ("src/fastdice/permutation.py", "range(n - 2, -1, -1)",
      "range(n - 2, 0, -1)", PERM + "test_round_trip_all_ranks"),
+    # A code's rank composed with each size plus one.
+    ("src/fastdice/permutation.py", "value * (n - idx) + d",
+     "value * (n - idx + 1) + d",
+     "tests/test_differential.py::test_factorial_base_matches_reference"),
     # A rank's code divided by each size plus one.
     ("src/fastdice/permutation.py", "divmod(y, n - idx)",
      "divmod(y, n - idx + 1)",
@@ -174,6 +185,8 @@ def copy_checkout(into: Path) -> dict:
         shutil.copytree(ROOT / name, into / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy2(ROOT / "pyproject.toml", into)
+    (into / "benchmarks").mkdir()
+    shutil.copy2(ROOT / "benchmarks" / "oracle.py", into / "benchmarks")
     return dict(os.environ, PYTHONPATH=str(into / "src"))
 
 

@@ -11,6 +11,7 @@ from fastdice import (BufferedWordSource, RandomBitSource, ScriptExhausted,
                       fdr_uniform)
 
 from conftest import NextBitOnly, Words, state
+import oracle
 
 
 def test_scripted_identity():
@@ -273,27 +274,13 @@ def test_negative_width_raises_and_changes_nothing(make, before):
 # ------------------------------------------- counter differential test
 
 
-def _splitmix_words(seed, count):
-    """SplitMix64's top 32 bits, written out step by step as published."""
-    mask = (1 << 64) - 1
-    state, words = seed & mask, []
-    for _ in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & mask
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        z ^= z >> 31
-        words.append(z >> 32)
-    return words
-
-
 def _three_sources(seed, words):
     """The seeded source (128-bit fills), the same generator handed in
     (32-bit fills) and a scripted replay of its first `words` words."""
     return (BufferedWordSource(seed),
             BufferedWordSource(SplitMix64Words(seed)),
             ScriptedBitSource((w >> (31 - i)) & 1
-                              for w in _splitmix_words(seed, words)
+                              for w in oracle.words(seed, words)
                               for i in range(32)))
 
 
@@ -365,8 +352,7 @@ def test_cloned_seeded_source_continues_independently(clone):
 def test_lanes_serve_the_scalar_stream(seed):
     # 4,099 words cross 1,024 refills and end three words into the next.
     gen = SplitMix64Words(seed)
-    assert [gen.next_word() for _ in range(4099)] == _splitmix_words(seed,
-                                                                     4099)
+    assert [gen.next_word() for _ in range(4099)] == oracle.words(seed, 4099)
 
 
 @pytest.mark.parametrize("clone", [
@@ -374,7 +360,7 @@ def test_lanes_serve_the_scalar_stream(seed):
     ids=["copy", "deepcopy", "pickle"])
 @pytest.mark.parametrize("served", [1, 2, 3, 4, 5])
 def test_cloned_generator_continues_independently(clone, served):
-    expected = _splitmix_words(7, served + 20)
+    expected = oracle.words(7, served + 20)
     gen = SplitMix64Words(7)
     assert [gen.next_word() for _ in range(served)] == expected[:served]
     twin = clone(gen)
@@ -395,7 +381,7 @@ def test_blocks_are_four_words_first_most_significant(seed):
     gen = SplitMix64Words(seed)
     words = [b >> 96 - 32 * i & 0xFFFFFFFF
              for b in (gen.next_block() for _ in range(30)) for i in range(4)]
-    assert words == _splitmix_words(seed, 120)
+    assert words == oracle.words(seed, 120)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -410,7 +396,7 @@ def test_word_and_block_reads_mix_into_one_stream(seed):
         else:
             block = gen.next_block()
             served += [block >> 96 - 32 * i & 0xFFFFFFFF for i in range(4)]
-    assert served == _splitmix_words(seed, len(served))
+    assert served == oracle.words(seed, len(served))
 
 
 # ------------------------------------------------------ geometric reads
@@ -471,7 +457,7 @@ def test_out_of_range_words_draw_like_their_low_bits(seed):
     # Each word shifted by a multiple of 2**32, up or down, serves the
     # same draws as the word itself, and every draw lands in [0, n).
     rng = random.Random(seed)
-    words = _splitmix_words(seed, 2000)
+    words = oracle.words(seed, 2000)
     shifted = [w + (rng.randint(-3, 3) << 32 + rng.randint(0, 40))
                for w in words]
     plain = BufferedWordSource(Words(*words))

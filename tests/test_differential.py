@@ -1,46 +1,48 @@
-"""Differential tests: the samplers against bit-at-a-time reference copies.
+"""Differential tests: the samplers against bit-at-a-time references.
 
-``reference_fdr_uniform`` and ``reference_bernoulli`` are the one-flip-
-per-step loops the library's bulk-reading samplers replaced.  They read
-only through ``next_bit``, so they fix the flip stream a draw must
-consume: the library must return the same value, report the same
-``bits_used`` and leave the source in the same state (bits consumed,
-words fetched, script cursor), draw after draw.  On scripted flips both
-must have the same decision tree: the same leaves with the same results,
-and at every node the same outcome, a return or ScriptExhausted with the
-same script state and message.
-The shuffle kernel ``core._fdr_shuffle`` must equal
-``reference_fisher_yates``, one draw per offset, the same way, on any
-list and at the sizes where its width steps down.  With the flip cap
-lowered, the library's tree must be the reference's, with a raise in
-place of each node the reference has not decided at its first decision
-past the cap.
-``reference_batch_uniform`` splits one draw below n**j into its base-n
-digits by repeated ``divmod``; ``batch_uniform`` must return the same
-digits and leave the source in the same state, on every plan with
-n <= 40 and on the widest plans.
-``reference_nu_exact`` sums the Knuth-Yao nu series digit by digit over
-its whole period, as the library did before it shared the uniform cost's
-closed form; the two must give identical Fractions.
+The draws' references are the loops of ``benchmarks/oracle.py``, the
+benchmark's oracle: the Fast Dice Roller and the Bernoulli draw one flip
+per step, Fisher-Yates one draw per offset, one rank below n! split in
+factorial base and sent through a fixed Fisher-Yates pass or Laisant's
+selection (the CLI's ``perm --method lehmer``), and one draw below n**j
+split into its base-n digits.  Each returns (output, flips spent) and
+reads its flips through ``bit()``; ``OracleBits`` serves those from a
+``RandomBitSource``'s ``next_bit``, one call per flip, so the oracle
+reads the flips the library reads and a script runs out at the same
+flip with the same message.  The oracle imports no ``fastdice`` module,
+so no reference draws through the code it checks.
+
+The library must return the same value, report the same ``bits_used``
+where it reports one, and leave the source in the same state (bits
+consumed, words fetched, script cursor), draw after draw: on every
+range, every batch plan with n <= 40 and the widest ones, any list for
+the shuffle kernel ``core._fdr_shuffle`` and the sizes where its width
+steps down, and every permutation route.  On scripted flips both must
+have the same decision tree: the same leaves with the same results, and
+at every node the same outcome, a return or ScriptExhausted with the
+same script state and message.  With the flip cap lowered, the
+library's tree must be the oracle's, with a raise in place of each node
+the oracle has not decided at its first decision past the cap.
+
+The references the oracle has no equivalent for stay here.
+``reference_factorial_compose`` sums each digit times its falling
+factorial.  ``reference_nu_exact`` sums the Knuth-Yao nu series digit
+by digit over its whole period, as the library did before it shared the
+uniform cost's closed form; the two must give identical Fractions.
 ``reference_horner``, ``reference_weighted_bit_sum`` and
 ``reference_periodic_fluctuation`` are the cost layer's term-by-term,
 bit-by-bit and coefficient-by-coefficient loops, the last with each c_k
 from its own zeta call; the closed forms and the precomputed table must
 return the same integers and the same doubles.
-
-The ``reference_*`` permutation routes are the library's permutation code
-from before every route shared one swap loop and one code draw: the
-shuffle with its own swap loop, factorial-base digits by division by
-falling factorials, and the CLI's own rank draw for ``perm --method
-lehmer``.  The library must return the same permutations, codes and
-ranks and leave the source in the same state.
 """
 
+import ast
 import functools
 import math
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -55,52 +57,31 @@ from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
 from fastdice import core, cost
 from fastdice.cli import _PERM_ROUTES
 
-from conftest import (Index, NextBitOnly, bernoulli_biases, law,
+from conftest import (SRC, Index, NextBitOnly, bernoulli_biases, law,
                       returning_errors, state, walk)
+import oracle
 
 
-def reference_fdr_uniform(source, n):
-    """Fast Dice Roller, one flip per loop iteration."""
-    if n == 1:
-        return FdrOutcome(0, 0)
-    v, c, bits = 1, 0, 0
-    while True:
-        v <<= 1
-        c = (c << 1) | source.next_bit()
-        bits += 1
-        if v >= n:
-            if c < n:
-                return FdrOutcome(c, bits)
-            v -= n
-            c -= n
+class OracleBits:
+    """A ``RandomBitSource`` read as the oracle's ``Bits``: one
+    ``next_bit`` call per flip."""
+
+    def __init__(self, source):
+        self.bit = source.next_bit
 
 
-def reference_bernoulli(source, p):
-    """Expansion bit at a geometric position, one flip per expansion bit."""
-    if p.num == 0:
-        return 0
-    if p.num == p.den:
-        return 1
-    v = p.num
-    while True:
-        v <<= 1
-        if v >= p.den:
-            v -= p.den
-            b = 1
-        else:
-            b = 0
-        if source.next_bit():
-            return b
-
-
-def reference_batch_uniform(source, n, j):
-    """One draw below n**j, then its base-n digits by repeated divmod."""
-    y = fdr_uniform(source, n ** j).value
-    digits = []
-    for _ in range(j):
-        y, d = divmod(y, n)
-        digits.append(d)
-    return digits[::-1]
+def test_oracle_imports_no_fastdice_module():
+    # The tests read this checkout's oracle, and it draws through none
+    # of the code it checks.
+    path = Path(oracle.__file__)
+    assert path == SRC.parent / "benchmarks" / "oracle.py"
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            roots.add((node.module or "").split(".")[0])
+    assert roots and "fastdice" not in roots
 
 
 def ranges():
@@ -133,9 +114,10 @@ def test_uniform_matches_reference(n):
     # An __index__ integer draws exactly like its int value.
     for seed in range(8):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for _ in range(6):
             assert (fdr_uniform(new, n)
-                    == reference_fdr_uniform(ref, operator.index(n)))
+                    == oracle.uniform(bits, operator.index(n)))
             assert state(new) == state(ref)
 
 
@@ -145,9 +127,10 @@ def test_uniform_mixed_ranges_share_one_stream():
     all_n = ranges()
     for seed in range(20):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for _ in range(300):
             n = rng.choice(all_n)
-            assert fdr_uniform(new, n) == reference_fdr_uniform(ref, n)
+            assert fdr_uniform(new, n) == oracle.uniform(bits, n)
             assert state(new) == state(ref)
 
 
@@ -167,7 +150,7 @@ def test_flip_cap_keeps_returned_draws_exact(n, monkeypatch):
     raised = [p for p, got in leaves.items() if type(got) is not FdrOutcome]
     assert raised and all(type(leaves[p]) is FastdiceError for p in raised)
     t = len(raised[0])
-    ref_leaves, ref_open = walk(lambda s: reference_fdr_uniform(s, n), t)
+    ref_leaves, ref_open = walk(lambda s: oracle.uniform(OracleBits(s), n), t)
     assert raised == ref_open
     returned = {p: got for p, got in leaves.items()
                 if type(got) is FdrOutcome}
@@ -190,9 +173,9 @@ def test_batch_matches_reference():
     for seed, (n, j) in enumerate(batch_plans()):
         plan = plan_batch(n, j)
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for _ in range(8):
-            assert batch_uniform(new, plan) == reference_batch_uniform(
-                ref, n, j)
+            assert batch_uniform(new, plan) == oracle.batch(bits, n, j)[0]
             assert state(new) == state(ref)
 
 
@@ -201,8 +184,10 @@ def test_batch_matches_reference():
 def test_bernoulli_matches_reference(p):
     for seed in range(30):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for _ in range(40):
-            assert bernoulli_rational(new, p) == reference_bernoulli(ref, p)
+            assert (bernoulli_rational(new, p)
+                    == oracle.bernoulli(bits, p.num, p.den)[0])
             assert state(new) == state(ref)
 
 
@@ -217,11 +202,13 @@ def test_bernoulli_deep_stops_match_reference(t):
     words = [0] * ((t - 1) // 32) + [1 << 31 - (t - 1) % 32]
     for p in bernoulli_biases():
         new, ref = ScriptedBitSource(bits), ScriptedBitSource(bits)
-        assert bernoulli_rational(new, p) == reference_bernoulli(ref, p)
+        assert (bernoulli_rational(new, p)
+                == oracle.bernoulli(OracleBits(ref), p.num, p.den)[0])
         assert new.bits_consumed() == ref.bits_consumed()
         new, ref = (BufferedWordSource(ScriptedWords(words)),
                     BufferedWordSource(ScriptedWords(words)))
-        assert bernoulli_rational(new, p) == reference_bernoulli(ref, p)
+        assert (bernoulli_rational(new, p)
+                == oracle.bernoulli(OracleBits(ref), p.num, p.den)[0])
         read = (t, len(words)) if 0 < p.num < p.den else (0, 0)
         assert state(new) == state(ref) == read
 
@@ -267,15 +254,16 @@ def assert_same_tree(draw, reference, depth):
 @pytest.mark.parametrize("n", range(2, 8))
 def test_uniform_exhaustion_matches_reference(n):
     assert_same_tree(lambda s: fdr_uniform(s, n),
-                     lambda s: reference_fdr_uniform(s, n), 64)
+                     lambda s: oracle.uniform(OracleBits(s), n), 64)
 
 
 @pytest.mark.parametrize("p", [Rational(1, 3), Rational(2, 5),
                                Rational((1 << 62) // 3, (1 << 62) - 1)],
                          ids=lambda p: f"{p.num}/{p.den}")
 def test_bernoulli_exhaustion_matches_reference(p):
-    assert_same_tree(lambda s: bernoulli_rational(s, p),
-                     lambda s: reference_bernoulli(s, p), 200)
+    assert_same_tree(
+        lambda s: bernoulli_rational(s, p),
+        lambda s: oracle.bernoulli(OracleBits(s), p.num, p.den)[0], 200)
 
 
 def reference_horner(r, mod, terms):
@@ -407,13 +395,8 @@ def test_nu_exact_matches_reference():
 
 
 def reference_factorial_decompose(rank):
-    """Greedy division by falling factorials, highest digit first."""
-    u = rank.value
-    digits = []
-    for i in range(rank.n, 0, -1):
-        d, u = divmod(u, math.factorial(i - 1))
-        digits.append(d)
-    return LehmerCode(tuple(digits))
+    """The oracle's factorial-base digits of a rank, as a code."""
+    return LehmerCode(tuple(oracle.factorial_digits(rank.value, rank.n)))
 
 
 def reference_factorial_compose(code):
@@ -424,47 +407,10 @@ def reference_factorial_compose(code):
     return Rank(value, n)
 
 
-def reference_lehmer_to_permutation_fy(code):
-    n = code.n
-    t = list(range(1, n + 1))
-    for i in range(1, n + 1):
-        k = i + code.digits[i - 1]
-        t[i - 1], t[k - 1] = t[k - 1], t[i - 1]
-    return t
-
-
-def reference_fisher_yates(source, n):
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    t = list(range(1, n + 1))
-    for i in range(1, n + 1):
-        k = i + fdr_uniform(source, n - i + 1).value
-        t[i - 1], t[k - 1] = t[k - 1], t[i - 1]
-    return t
-
-
-def reference_random_permutation_unranked(source, n):
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    if n > 20:
-        raise FactorialOverflow(
-            f"{n}! exceeds the 64-bit working range (cap is n = 20)")
-    u = fdr_uniform(source, math.factorial(n)).value
-    return reference_lehmer_to_permutation_fy(
-        reference_factorial_decompose(Rank(u, n)))
-
-
-def reference_cli_lehmer(source, n):
-    """The CLI's lehmer method: its own rank draw, selection bijection."""
-    u = fdr_uniform(source, math.factorial(n)).value
-    items = list(range(1, n + 1))
-    return [items.pop(d)
-            for d in reference_factorial_decompose(Rank(u, n)).digits]
-
-
-def reference_lehmer_code(source, n):
-    u = fdr_uniform(source, math.factorial(n)).value
-    return reference_factorial_decompose(Rank(u, n))
+def reference_lehmer_code(bits, n):
+    """The oracle's rank below n! and its flips, the rank as a code."""
+    u, used = oracle.uniform(bits, math.factorial(n))
+    return reference_factorial_decompose(Rank(u, n)), used
 
 
 def test_fdr_shuffle_matches_reference():
@@ -473,11 +419,12 @@ def test_fdr_shuffle_matches_reference():
     rng = random.Random(6)
     for seed in range(40):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for _ in range(rng.randint(1, 8)):
             n = rng.choice([0, 1, 2, rng.randint(3, 100)])
             t = [f"x{k}" for k in range(1, n + 1)]
             assert core._fdr_shuffle(new, t) is t
-            assert t == [f"x{k}" for k in reference_fisher_yates(ref, n)]
+            assert t == [f"x{k}" for k in oracle.fisher_yates(bits, n)[0]]
             assert state(new) == state(ref)
 
 
@@ -487,8 +434,9 @@ def test_fisher_yates_matches_reference_where_widths_change(n):
     # once from 2**k, one step in from 2**k + 1.
     for seed in range(8):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for _ in range(3):
-            assert fisher_yates(new, n) == reference_fisher_yates(ref, n)
+            assert fisher_yates(new, n) == oracle.fisher_yates(bits, n)[0]
             assert state(new) == state(ref)
 
 
@@ -502,17 +450,19 @@ def test_fdr_shuffle_exhaustion_matches_reference():
         bits = [rng.getrandbits(1) for _ in range(rng.randint(0, 100))]
         got = outcome(lambda s: core._fdr_shuffle(s, [*range(1, n + 1)]),
                       bits)
-        assert got == outcome(lambda s: reference_fisher_yates(s, n), bits)
+        assert got == outcome(
+            lambda s: oracle.fisher_yates(OracleBits(s), n)[0], bits)
         exhausted += got[0] == "exhausted" and got[2] > 0
         finished += got[0] != "exhausted" and n > 1
     assert exhausted > 50 and finished > 50
 
 
+# Each route: the library's draw, its reference on the oracle's bits,
+# returning (output, flips), and the largest n it is checked at.
 ROUTES = {
-    "fisher_yates": (fisher_yates, reference_fisher_yates, 60),
-    "unranked": (random_permutation_unranked,
-                 reference_random_permutation_unranked, 20),
-    "cli_lehmer": (_PERM_ROUTES["lehmer"][0], reference_cli_lehmer, 20),
+    "fisher_yates": (fisher_yates, oracle.fisher_yates, 60),
+    "unranked": (random_permutation_unranked, oracle.unranked, 20),
+    "cli_lehmer": (_PERM_ROUTES["lehmer"][0], oracle.lehmer_selection, 20),
     "code": (random_lehmer_code, reference_lehmer_code, 20),
 }
 
@@ -522,9 +472,10 @@ def test_permutation_routes_match_reference(route):
     draw, reference, n_max = ROUTES[route]
     for seed in range(50):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
+        bits = OracleBits(ref)
         for n in range(n_max + 1):
             got = draw(new, n)
-            assert got == reference(ref, n)
+            assert got == reference(bits, n)[0]
             assert state(new) == state(ref)
             if route == "code":  # built without LehmerCode's check
                 assert type(got) is LehmerCode
@@ -544,16 +495,22 @@ def test_permutation_routes_draw_an_index_like_its_int(route):
 def test_rank_routes_keep_their_guards():
     # Each check raises what the draws it guards raise, with the same
     # message, before a single flip: fisher_yates before it builds its
-    # list, the rank routes like the reference unranking.  A non-integer
-    # raises TypeError, NaN included.
+    # list, the rank routes with the unranking's own messages.  A
+    # non-integer raises TypeError, NaN included.
     def bernoulli(source, den):
         return bernoulli_rational(source, Rational(1, den))
 
+    for bad, error, message in [
+            (21, FactorialOverflow,
+             "21! exceeds the 64-bit working range (cap is n = 20)"),
+            (-1, ValueError, "need n >= 0, got -1")]:
+        with pytest.raises(error) as got:
+            check_unrank_size(bad)
+        assert type(got.value) is error and str(got.value) == message
     non_ints = (6.0, math.nan, Fraction(6))
     guards = [
         (check_unrank_size, (21, -1) + non_ints,
-         (reference_random_permutation_unranked, random_permutation_unranked,
-          random_lehmer_code)),
+         (random_permutation_unranked, random_lehmer_code)),
         (check_range, (0, -1, 2 ** 62 + 1, 10 ** 23) + non_ints,
          (fdr_uniform,)),
         (check_range, (2 ** 62 + 1, 2 ** 64) + non_ints, (fisher_yates,)),
@@ -602,8 +559,10 @@ def test_factorial_base_matches_reference():
     for rank in ranks():
         code = factorial_decompose(rank)
         assert code == reference_factorial_decompose(rank)
-        assert factorial_compose(code) == reference_factorial_compose(code)
-        assert factorial_compose(code) == rank
+        back = factorial_compose(code)  # built without Rank's check
+        assert type(back) is Rank
+        assert type(back.value) is int and type(back.n) is int
+        assert back == reference_factorial_compose(code) == rank
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -627,5 +586,5 @@ def test_permutation_exhaustion_matches_reference(route):
         for length in range(41):
             bits = [rng.getrandbits(1) for _ in range(length)]
             assert (outcome(lambda s: [draw(s, n) for _ in range(3)], bits)
-                    == outcome(lambda s: [reference(s, n) for _ in range(3)],
-                               bits))
+                    == outcome(lambda s: [reference(OracleBits(s), n)[0]
+                                          for _ in range(3)], bits))
