@@ -26,9 +26,7 @@ digits and the swaps, and build no ``Rank``.
 ``factorial_decompose`` and ``random_lehmer_code``.  The digits of a
 rank below n! are in range by construction, so no ``LehmerCode`` built
 from a rank is checked again: a ``Rank`` has already checked its value
-against n!, and a drawn rank is below n!.  Likewise
-``factorial_compose`` builds its ``Rank`` unchecked: a ``LehmerCode``'s
-checked digits put its value below n!.
+against n!, and a drawn rank is below n!.
 
 ``_swaps`` walks the digits of a code it is given.  Neither drawing
 route goes through it: each swaps every digit in as it comes, in one
@@ -178,16 +176,12 @@ def factorial_decompose(rank: Rank) -> LehmerCode:
 
 
 def factorial_compose(code: LehmerCode) -> Rank:
-    """Inverse of factorial_decompose (Horner in the mixed radix).
-
-    A ``LehmerCode`` has checked its digits, so the value is below n! by
-    construction and the record skips ``Rank``'s check.
-    """
+    """Inverse of factorial_decompose (Horner in the mixed radix)."""
     n = code.n
     value = 0
     for idx, d in enumerate(code.digits):
         value = value * (n - idx) + d
-    return tuple.__new__(Rank, (value, n))
+    return Rank(value, n)
 
 
 def lehmer_to_permutation_selection(code: LehmerCode) -> list[int]:

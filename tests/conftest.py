@@ -22,9 +22,10 @@ The test doubles, each defined here once:
   this checkout's ``src``, so a subprocess tests this code and not an
   installed copy.
 
-``benchmarks/`` goes on ``sys.path`` here, so the tests ``import
-oracle``: the benchmark's bit-at-a-time references, which import
-nothing from ``src/``.
+``oracle`` is the module ``benchmarks/oracle.py``, loaded here from its
+file alone, so nothing else under ``benchmarks/`` becomes importable:
+the benchmark's bit-at-a-time references, which import nothing from
+``src/``.
 
 pytest rewrites the asserts of a conftest, as it does a test module's, so
 the walker's checks still fire under ``python -O``; in a plain helper
@@ -32,12 +33,12 @@ module they would be stripped.
 """
 
 import contextlib
+import importlib.util
 import itertools
 import os
 import random
 import signal
 import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,7 +46,10 @@ from fastdice import (FastdiceError, RandomBitSource, Rational,
                       ScriptExhausted, ScriptedBitSource)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-sys.path.insert(0, str(SRC.parent / "benchmarks"))
+_ORACLE = importlib.util.spec_from_file_location(
+    "oracle", SRC.parent / "benchmarks" / "oracle.py")
+oracle = importlib.util.module_from_spec(_ORACLE)
+_ORACLE.loader.exec_module(oracle)
 
 
 def walk(draw, depth):

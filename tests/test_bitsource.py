@@ -10,8 +10,7 @@ from fastdice import (BufferedWordSource, RandomBitSource, ScriptExhausted,
                       ScriptedBitSource, ScriptedWords, SplitMix64Words,
                       fdr_uniform)
 
-from conftest import NextBitOnly, Words, state
-import oracle
+from conftest import NextBitOnly, Words, oracle, state
 
 
 def test_scripted_identity():
