@@ -216,6 +216,14 @@ class BufferedWordSource(RandomBitSource):
     ``bits_consumed`` as those bits - the bits still unread - the value
     that difference had at the last ``reset_bit_count``.
 
+    ``core._fdr_shuffle`` reads an instance of exactly this class in
+    place, and relies on this layout: the unread bits are the low
+    ``_pos`` bits of ``_buf``, served most significant first, and only
+    ``next_bits`` fills.  So k <= ``_pos`` bits are read by lowering
+    ``_pos`` by k, and a reader that keeps the two in locals stores its
+    position back before it calls a method.  A subclass is read through
+    its methods only.
+
     Raises:
         TypeError: the argument is neither an int seed nor an object
             with a callable ``next_word``.

@@ -26,7 +26,11 @@ digits and the swaps, and build no ``Rank``.
 ``factorial_decompose`` and ``random_lehmer_code``.  The digits of a
 rank below n! are in range by construction, so no ``LehmerCode`` built
 from a rank is checked again: a ``Rank`` has already checked its value
-against n!, and a drawn rank is below n!.
+against n!, and a drawn rank is below n!.  For the same reason
+``factorial_decompose`` takes only a ``Rank``, and the two bijections
+take only a ``LehmerCode``: ``_need`` refuses anything else with
+``TypeError`` before reading it, since an object that merely has the
+same fields has had no range check.
 
 ``_swaps`` walks the digits of a code it is given.  Neither drawing
 route goes through it: each swaps every digit in as it comes, in one
@@ -165,13 +169,26 @@ def _code(y: int, n: int) -> LehmerCode:
     return tuple.__new__(LehmerCode, (tuple(digits),))
 
 
+def _need(kind: type, record) -> None:
+    """Raise ``TypeError`` unless record is a ``kind``, before any of
+    its fields is read: an object that only looks like one has had no
+    range check."""
+    if not isinstance(record, kind):
+        raise TypeError(
+            f"need a {kind.__name__}, got {type(record).__name__}")
+
+
 def factorial_decompose(rank: Rank) -> LehmerCode:
     """Write a rank in factorial base: U = X_n*(n-1)! + ... + X_1*0!.
 
     Repeated division by the mixed radix 1, 2, ..., n yields the digits
     from the lowest position up; the digit bounds make the representation
     unique.
+
+    Raises:
+        TypeError: rank is not a ``Rank``.
     """
+    _need(Rank, rank)
     return _code(rank.value, rank.n)
 
 
@@ -189,7 +206,11 @@ def lehmer_to_permutation_selection(code: LehmerCode) -> list[int]:
 
     Repeatedly pick the X_i-th remaining element of the sorted list.
     The inversion count of the result equals sum(code.digits).
+
+    Raises:
+        TypeError: code is not a ``LehmerCode``.
     """
+    _need(LehmerCode, code)
     items = list(range(1, code.n + 1))
     return [items.pop(d) for d in code.digits]
 
@@ -209,7 +230,11 @@ def lehmer_to_permutation_fy(code: LehmerCode) -> list[int]:
     Iteration i (1-based) swaps position i with position i + X_{n-i+1},
     i.e. digits drive the shuffle in the order they were decomposed.
     Linear time; a different bijection than the selection construction.
+
+    Raises:
+        TypeError: code is not a ``LehmerCode``.
     """
+    _need(LehmerCode, code)
     return _swaps(list(range(1, code.n + 1)), code.digits)
 
 

@@ -40,8 +40,9 @@ FDR = "tests/test_fdr.py::"
 PERM = "tests/test_permutation.py::"
 MUTANTS = [
     # The flip cap: raise one step early, or far too soon.
-    ("src/fastdice/core.py", "if bits > _MAX_FLIPS:",
-     "if bits >= _MAX_FLIPS:",
+    ("src/fastdice/core.py",
+     "if bits > _MAX_FLIPS:\n            raise",
+     "if bits >= _MAX_FLIPS:\n            raise",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
     ("src/fastdice/core.py", "_MAX_FLIPS = 1024", "_MAX_FLIPS = 96",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
@@ -57,8 +58,8 @@ MUTANTS = [
      "width = n.bit_length()\n    except",
      FDR + "test_trace_n4_binary_digits"),
     # A recycle step that reads one flip too many.
-    ("src/fastdice/core.py", "j = width - v.bit_length()",
-     "j = width - v.bit_length() + 1",
+    ("src/fastdice/core.py", "j = width - v.bit_length()\n        if",
+     "j = width - v.bit_length() + 1\n        if",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
     # A batch's digit loop one step short, or its leading digit put last.
     ("src/fastdice/batch.py", "range(plan.j - 1, 0, -1)",
@@ -102,6 +103,38 @@ MUTANTS = [
     # read one flip too wide.
     ("src/fastdice/core.py", "if m <= half:", "if m < half:",
      FDR + "test_fdr_shuffle_reads_as_its_single_draws_in_turn"),
+    # The shuffle's own recycle step: one flip too many, and its cap
+    # one step early or its raise leaving the buffer position unstored.
+    ("src/fastdice/core.py", "j = width - v.bit_length()\n                if",
+     "j = width - v.bit_length() + 1\n                if",
+     FDR + "test_fdr_shuffle_reads_as_its_single_draws_in_turn"),
+    ("src/fastdice/core.py",
+     "if bits > _MAX_FLIPS:\n                    if in_place:",
+     "if bits >= _MAX_FLIPS:\n                    if in_place:",
+     FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
+    ("src/fastdice/core.py",
+     "if in_place:\n                        source._pos = pos\n",
+     "if in_place:\n                        pass\n",
+     FDR + "test_a_capped_shuffle_raises_as_single_draws"),
+    # The shuffle reading a subclass's buffer in place, past its own
+    # next_bits.
+    ("src/fastdice/core.py", "in_place = type(source) is BufferedWordSource",
+     "in_place = isinstance(source, BufferedWordSource)",
+     FDR + "test_a_subclass_sees_every_read_of_the_shuffle"),
+    # The shuffle's buffer position left unstored: at the return, or
+    # before a refill on the first read or in a recycle step.
+    ("src/fastdice/core.py",
+     "if in_place:\n        source._pos = pos\n    return t",
+     "return t",
+     "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
+    ("src/fastdice/core.py",
+     "source._pos = pos\n            c = source.next_bits(width)",
+     "c = source.next_bits(width)",
+     "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
+    ("src/fastdice/core.py",
+     "source._pos = pos\n                    c = c << j | source.next_bits(j)",
+     "c = c << j | source.next_bits(j)",
+     "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
     # The cost series off by one past 200 terms.
     ("src/fastdice/cost.py", "f = (r << shift) // mod",
      "f = (r << shift) // mod + (terms > 200)",

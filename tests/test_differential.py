@@ -49,6 +49,7 @@ import pytest
 from fastdice import (BufferedWordSource, FactorialOverflow, FastdiceError,
                       FdrOutcome, LehmerCode, Rank, Rational,
                       ScriptExhausted, ScriptedBitSource, ScriptedWords,
+                      SplitMix64Words,
                       auto_batch_size, batch_uniform, bernoulli_rational,
                       check_denominator, check_range, check_unrank_size,
                       factorial_compose, factorial_decompose, fdr_uniform,
@@ -435,6 +436,19 @@ def test_fisher_yates_matches_reference_where_widths_change(n):
         new, ref = BufferedWordSource(seed), BufferedWordSource(seed)
         bits = OracleBits(ref)
         for _ in range(3):
+            assert fisher_yates(new, n) == oracle.fisher_yates(bits, n)[0]
+            assert state(new) == state(ref)
+
+
+def test_fisher_yates_on_32_bit_fills_matches_reference():
+    # A source on a caller's generator fills 32 bits at a time, so the
+    # shuffle's in-place reads run into a refill four times as often as
+    # on a seeded source's 128-bit fills.
+    for seed in range(3):
+        new = BufferedWordSource(SplitMix64Words(seed))
+        ref = BufferedWordSource(SplitMix64Words(seed))
+        bits = OracleBits(ref)
+        for n in range(2, 130):
             assert fisher_yates(new, n) == oracle.fisher_yates(bits, n)[0]
             assert state(new) == state(ref)
 

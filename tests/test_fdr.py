@@ -1,11 +1,13 @@
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from fastdice import (BufferedWordSource, EmptyRange, FastdiceError,
-                      RangeTooLarge, ScriptedBitSource,
+                      RangeTooLarge, ScriptExhausted, ScriptedBitSource,
+                      ScriptedWords,
                       batch_uniform, cost_partial_sum, exact_cost,
                       fdr_uniform, fdr_uniform_range, fisher_yates,
                       plan_batch, random_permutation_unranked)
@@ -13,7 +15,7 @@ from fastdice import core
 from fastdice.core import _fdr, _fdr_shuffle
 
 from conftest import (Words, deadline, law, mass, mean_flips,
-                      returning_errors, walk)
+                      returning_errors, state, walk)
 
 
 def draw(n, bits):
@@ -91,15 +93,18 @@ def test_recycle_step_checks_the_loop_invariant(kernel):
 # the first rejection past 1024 flips.  n = 6 reads 3 flips, then 2 per
 # recycle step: 1025.  n = 5 reads 3, then 1 and 3 in turn: 1027.
 # n = 3**5 = 243 (the batch) and n = 5! = 120 (the rank) stop at 1025
-# and 1027, as a one-flip-per-step loop with the same cap does.
+# and 1027, as a one-flip-per-step loop with the same cap does.  Only
+# n = 5 reaches exactly 1024 flips, where a cap checked with >= would
+# already raise.
 @pytest.mark.parametrize("word", [0xFFFFFFFF, -1], ids=["ones", "minus1"])
 @pytest.mark.parametrize("call, flips", [
     (lambda src: fdr_uniform(src, 6), 1025),
+    (lambda src: fdr_uniform(src, 5), 1027),
     (lambda src: fdr_uniform_range(src, 1, 6), 1025),
     (lambda src: fisher_yates(src, 5), 1027),
     (lambda src: batch_uniform(src, plan_batch(3, 5)), 1025),
     (lambda src: random_permutation_unranked(src, 5), 1027),
-], ids=["fdr_uniform", "fdr_uniform_range", "fisher_yates",
+], ids=["fdr_uniform", "fdr_uniform_5", "fdr_uniform_range", "fisher_yates",
         "batch_uniform", "random_permutation_unranked"])
 def test_a_stuck_generator_raises_instead_of_hanging(word, call, flips):
     src = BufferedWordSource(Words(word))
@@ -165,6 +170,89 @@ def test_fdr_shuffle_reads_as_its_single_draws_in_turn():
         src = _Recording(bits)
         assert shuffle(src) == [4, 3, 5, 1, 2]
         assert src.reads == reads
+
+
+class _RecordingWords(BufferedWordSource):
+    """A subclass that overrides ``next_bits`` to record each width."""
+
+    def __init__(self, seed_or_generator):
+        super().__init__(seed_or_generator)
+        self.reads = []
+
+    def next_bits(self, k):
+        self.reads.append(k)
+        return super().next_bits(k)
+
+
+def single_draws(source, t):
+    """``_fdr_shuffle`` by one ``_fdr`` draw per size."""
+    n = len(t)
+    for i in range(n - 1):
+        c = i + _fdr(source, n - i)[0]
+        t[i], t[c] = t[c], t[i]
+    return t
+
+
+def ending(shuffle, source, n, error):
+    """(the shuffle of 0..n-1, or the message of the ``error`` it
+    raised, and the source's state after it)."""
+    try:
+        got = shuffle(source, [*range(n)])
+    except error as exc:
+        got = str(exc)
+    return got, state(source)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 52, 129])
+def test_a_subclass_sees_every_read_of_the_shuffle(n):
+    # Only the exact BufferedWordSource is read in place; a subclass
+    # that overrides next_bits gets every read, with the widths the
+    # single draws ask for, and its buffer is left where they leave it.
+    for seed in range(12):
+        sub, twin = _RecordingWords(seed), _RecordingWords(seed)
+        for _ in range(3):
+            got = _fdr_shuffle(sub, [*range(n)])
+            assert got == single_draws(twin, [*range(n)])
+            assert sub.reads == twin.reads
+            assert state(sub) == state(twin)
+
+
+def test_a_word_script_that_runs_out_mid_shuffle_raises_as_single_draws():
+    # Each word is 32 flips, and a few are read before the shuffle, so
+    # the scripts run out on the first read, on a refill between reads
+    # and on one inside a recycle step; each raise must leave the
+    # counters where the single draws leave them.
+    rng = random.Random(5)
+    exhausted = finished = 0
+    for _ in range(300):
+        n = rng.randint(2, 70)
+        words = [rng.getrandbits(32) for _ in range(rng.randint(1, 10))]
+        src, twin = (BufferedWordSource(ScriptedWords(words)),
+                     BufferedWordSource(ScriptedWords(words)))
+        skip = rng.randint(0, 31)
+        src.next_bits(skip)
+        twin.next_bits(skip)
+        got = ending(_fdr_shuffle, src, n, ScriptExhausted)
+        assert got == ending(single_draws, twin, n, ScriptExhausted)
+        exhausted += type(got[0]) is str
+        finished += type(got[0]) is list
+    assert exhausted > 50 and finished > 50
+
+
+def test_a_capped_shuffle_raises_as_single_draws(monkeypatch):
+    # With the cap at 5 flips, about half the shuffles of 20 meet a
+    # draw that passes it, at any point of the buffer; the raise must
+    # carry the single draws' message and leave the source where they
+    # leave it.
+    monkeypatch.setattr(core, "_MAX_FLIPS", 5)
+    raised = 0
+    for seed in range(100):
+        got = ending(_fdr_shuffle, BufferedWordSource(seed), 20,
+                     FastdiceError)
+        assert got == ending(single_draws, BufferedWordSource(seed), 20,
+                             FastdiceError)
+        raised += type(got[0]) is str
+    assert 20 < raised < 80
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

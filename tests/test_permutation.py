@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -62,6 +63,36 @@ def test_round_trip_all_ranks():
         for u in range(math.factorial(n)):
             rank = Rank(u, n)
             assert factorial_compose(factorial_decompose(rank)) == rank
+
+
+class _Untouchable:
+    """Fails the test on a read of any record field."""
+
+    def __getattr__(self, name):
+        if name in ("value", "n", "digits"):
+            raise AssertionError(f"read .{name}")
+        raise AttributeError(name)
+
+
+@pytest.mark.parametrize("call, record", [
+    (factorial_decompose, SimpleNamespace(value=10, n=2)),
+    (factorial_decompose, (10, 2)),
+    (factorial_decompose, LehmerCode((1, 0))),
+    (factorial_decompose, _Untouchable()),
+    (lehmer_to_permutation_fy, SimpleNamespace(digits=(5, 0), n=2)),
+    (lehmer_to_permutation_fy, (1, 0)),
+    (lehmer_to_permutation_fy, Rank(1, 2)),
+    (lehmer_to_permutation_fy, _Untouchable()),
+    (lehmer_to_permutation_selection, SimpleNamespace(digits=(5, 0), n=2)),
+    (lehmer_to_permutation_selection, (1, 0)),
+    (lehmer_to_permutation_selection, _Untouchable()),
+])
+def test_record_routes_refuse_lookalikes(call, record):
+    # A look-alike has had no range check: a rank of 10 below 2! would
+    # lose its quotient, and a digit 5 of size 2 would swap out of range.
+    # Each is refused by type, before any field is read.
+    with pytest.raises(TypeError, match="^need a (Rank|LehmerCode), got "):
+        call(record)
 
 
 # ------------------------------------------------- code -> permutation
