@@ -9,7 +9,7 @@ u(n) to u(n**j)/j, within 2/j bits of the log2(n) entropy floor.
 frame, least significant first into a list built at its full length, so
 it builds no radix list and reverses nothing.  A ``BatchPlan``
 is checked when it is built, by ``plan_batch`` or directly, so a draw
-checks nothing but the master range.
+checks only that it was given one (``errors._need``), not its fields.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import index
 
 from .bitsource import RandomBitSource
 from .core import MAX_UNIFORM_RANGE, _fdr, check_range
-from .errors import Overflow, _at_least, _Record
+from .errors import Overflow, _at_least, _need, _Record
 
 
 def _checked_power(n: int, j: int) -> tuple[int, int, int]:
@@ -97,7 +97,11 @@ def batch_uniform(source: RandomBitSource, plan: BatchPlan) -> list[int]:
     The master uniform on {0,...,n**j - 1} is decomposed into base-n
     digits, most significant digit first.  The digits are independent
     and exactly uniform, in the listed order.
+
+    Raises:
+        TypeError: plan is not a ``BatchPlan``, before any flip.
     """
+    _need(BatchPlan, plan)
     n = plan.n
     y = _fdr(source, plan.n_pow_j)[0]
     digits = [0] * plan.j

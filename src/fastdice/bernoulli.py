@@ -20,7 +20,7 @@ from operator import index
 
 from .bitsource import RandomBitSource
 from .core import MAX_UNIFORM_RANGE
-from .errors import ImproperFraction, _at_least
+from .errors import ImproperFraction, _at_least, _need
 
 # The uniform sampler's 2**62 limit, kept as spec: the closed form holds
 # no expansion state that needs bounding.
@@ -28,16 +28,16 @@ MAX_DENOMINATOR = MAX_UNIFORM_RANGE
 
 
 def check_denominator(den: int) -> int:
-    """Raise unless den is an integer within the 2**62 limit; return den
+    """Raise unless den is an integer with 1 <= den <= 2**62; return den
     as an int.
 
     Reads no flip, so a caller can validate a draw before making it.
 
     Raises:
         TypeError: den is not an integer.
-        ValueError: den > 2**62.
+        ValueError: den < 1 or den > 2**62.
     """
-    den = index(den)
+    den = _at_least("den", den, 1)
     if den > MAX_DENOMINATOR:
         raise ValueError(f"denominator {den} exceeds 2**62")
     return den
@@ -131,12 +131,17 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     period of 2 mod den.
 
     Raises:
+        TypeError: p is not a ``Rational`` and its bias is not strictly
+            between 0 and 1 with den <= 2**62.  The type is checked only
+            off the one-comparison path, so inside that range a look-alike
+            with integer fields draws as its ``Rational`` would.
         ValueError: den beyond the 2**62 limit (from
             ``check_denominator``).
     """
     num = p.num
     den = p.den
     if not 0 < num < den <= MAX_DENOMINATOR:  # one comparison per draw
+        _need(Rational, p)
         check_denominator(den)
         return int(num == den)  # bias 0 or 1
     return (num << source.next_geometric()) // den & 1

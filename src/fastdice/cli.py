@@ -2,8 +2,9 @@
 
 Subcommands: uniform, perm, bernoulli, cost, bench.  Every run with the
 same flags and seed prints byte-identical output; the default seed is 0,
-and randomized runs need an explicit ``--seed random``.  Usage and domain
-errors exit with status 2.
+and randomized runs need an explicit ``--seed random``.  ``cost`` draws
+nothing and takes no ``--seed``.  Usage and domain errors exit with
+status 2.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=_int_at_least(0), default=1)
     p.set_defaults(func=cmd_bernoulli)
 
-    p = sub.add_parser("cost", parents=[common],
+    # cost draws nothing, so it takes no --seed
+    p = sub.add_parser("cost",
                        help="CSV table of exact, toll, and asymptotic costs")
     p.add_argument("--n-min", type=_int_at_least(1), required=True)
     p.add_argument("--n-max", type=_int_at_least(1), required=True)

@@ -29,30 +29,33 @@ saves both the ``FdrOutcome.__new__`` frame and the attribute lookup on
 single draw 2-3% faster but cost the consumers workload, whose draws
 drop the bit count, about 2% of its throughput.
 
-Most draws accept on their first read, so the kernel answers that case
-before it sets up anything else: it reads c = source.next_bits(width)
-and returns (c, width) at once if c < n.  That needs no check, since
-c < n <= 2**width < 2n holds by construction.  The read is a method
-call, not a bound method kept in a local: the one read of an accepted
-draw would not repay building it.  Only a rejected read fetches
-``source.next_bits`` and hands it to ``_recycle``, which finishes the
-draw with one call per recycle step.
+Each kernel owns its loop: a draw is read, and on a rejection recycled
+and read on, in the frame of the function that makes it, with no helper
+call per draw.  Most draws accept on their first read, so ``_fdr``
+answers that case before it sets up anything else: it reads
+c = source.next_bits(width) and returns (c, width) at once if c < n.
+That needs no check, since c < n <= 2**width < 2n holds by
+construction, and it stays a separate return: letting a first-read
+accept fall through the recycle loop's condition instead moved the
+median single draw of the draw benchmark from 0.66 to 0.71 us (Python
+3.11 on a shared 2-CPU host).  Only a rejected read goes on into the
+loop, which reads each recycle step with ``source.next_bits``.
 
-``_fdr_shuffle``, the Fisher-Yates shuffle, runs in one frame.  It
+``_fdr_shuffle``, the Fisher-Yates shuffle, runs in one frame too.  It
 draws each offset with the same first read, finishes a rejected one
-with ``_recycle``'s loop written out in place, and swaps the offset in
-at once, so it builds no list of offsets.  Its sizes fall by one per
-step, so the width steps down by one when the size reaches the next
-power of two below it, and no offset takes a ``bit_length``.  On a
+with its own copy of ``_fdr``'s loop, and swaps the offset in at once,
+so it builds no list of offsets.  Its sizes fall by one per step, so
+the width steps down by one when the size reaches the next power of two
+below it, and no offset takes a ``bit_length``.  On a
 ``BufferedWordSource`` of exactly that type it also makes its reads in
 its own frame: it copies the buffer and its position into locals, takes
 each read that fits from them with the arithmetic of ``next_bits``'s
 in-buffer path, and stores the position back before each refill through
 ``next_bits``, before each raise and before it returns.  A shuffle of
-52 then makes a method call per refill, not one per offset plus about
-13 ``_recycle`` calls, and the p99.9 latency of the consumers benchmark,
-which is all shuffles, fell by about a fifth.  Sending the rejections
-to a ``_recycle`` call instead, whether or not that call also read in
+52 then makes a method call per refill, not one per offset plus a
+helper call per rejection, and the p99.9 latency of the consumers
+benchmark, which is all shuffles, fell by about a fifth.  Sending the
+rejections to a shared helper instead, whether or not it also read in
 place, kept at most three fifths of that gain.  Any other source,
 subclasses included, starts with an empty local buffer, so every read
 falls through to its ``next_bits`` with the widths the single draws
@@ -168,17 +171,6 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
     c = source.next_bits(width)
     if c < n:  # accepted on the first read: c < n <= 2**width < 2n
         return c, width
-    return _recycle(source.next_bits, n, width, c)
-
-
-def _recycle(next_bits, n: int, width: int, c: int) -> tuple[int, int]:
-    """Finish a draw on n whose first read of width flips, c, was
-    rejected (n <= c < 2**width); return (value, bits_used).
-
-    Raises:
-        FastdiceError: the draw is still rejected after more than
-            ``_MAX_FLIPS`` flips.
-    """
     bits = width
     v = 1 << width  # size of the range c is uniform on; n <= v < 2n
     while c >= n:
@@ -194,7 +186,7 @@ def _recycle(next_bits, n: int, width: int, c: int) -> tuple[int, int]:
         if v << j < n:
             j += 1
         v <<= j
-        c = (c << j) | next_bits(j)
+        c = c << j | source.next_bits(j)
         bits += j
         assert c < v and n <= v < (n << 1)  # loop invariant; stripped under -O
     return c, bits
@@ -231,7 +223,7 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
             buf, pos = source._buf, source._pos
         else:
             c = source.next_bits(width)
-        if c >= m:  # rejected on the first read: _recycle's loop, inline
+        if c >= m:  # rejected on the first read: _fdr's loop, inline
             bits = width
             v = 1 << width
             while c >= m:
@@ -256,7 +248,7 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
                 else:
                     c = c << j | source.next_bits(j)
                 bits += j
-                assert c < v and m <= v < (m << 1)  # as in _recycle
+                assert c < v and m <= v < (m << 1)  # as in _fdr
         c += i
         t[i], t[c] = t[c], t[i]
     if in_place:

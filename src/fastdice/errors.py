@@ -11,7 +11,10 @@ before any flip is read.
 The validating records (``LehmerCode``, ``Rank`` and ``BatchPlan``)
 are ``namedtuple`` subclasses that check their fields in ``__new__``;
 each also inherits ``_Record``, so that ``_replace`` builds through
-that ``__new__`` and validates too.
+that ``__new__`` and validates too.  A function that takes a record,
+or a ``Rational``, without checking its fields again calls ``_need``
+first, which refuses anything of another type with ``TypeError``: an
+object that merely has the same fields has had no range check.
 """
 
 from operator import index
@@ -28,6 +31,15 @@ def _at_least(name: str, value, lo: int) -> int:
     if value < lo:
         raise ValueError(f"need {name} >= {lo}, got {value}")
     return value
+
+
+def _need(kind: type, record) -> None:
+    """Raise ``TypeError`` unless record is a ``kind``, before any of
+    its fields is read: an object that only looks like one has had no
+    range check."""
+    if not isinstance(record, kind):
+        raise TypeError(
+            f"need a {kind.__name__}, got {type(record).__name__}")
 
 
 class _Record:

@@ -28,9 +28,9 @@ rank below n! are in range by construction, so no ``LehmerCode`` built
 from a rank is checked again: a ``Rank`` has already checked its value
 against n!, and a drawn rank is below n!.  For the same reason
 ``factorial_decompose`` takes only a ``Rank``, and the two bijections
-take only a ``LehmerCode``: ``_need`` refuses anything else with
-``TypeError`` before reading it, since an object that merely has the
-same fields has had no range check.
+take only a ``LehmerCode``: ``errors._need`` refuses anything else
+with ``TypeError`` before reading it, since an object that merely has
+the same fields has had no range check.
 
 ``_swaps`` walks the digits of a code it is given.  Neither drawing
 route goes through it: each swaps every digit in as it comes, in one
@@ -59,7 +59,7 @@ from typing import Iterable, Sequence
 from .bitsource import RandomBitSource
 from .core import _fdr, _fdr_shuffle, check_range
 from .errors import (DigitOutOfRange, FactorialOverflow, RankOutOfRange,
-                     _at_least, _Record)
+                     _at_least, _need, _Record)
 
 # 20! = 2432902008176640000 < 2**62 < 21!; larger sizes would push the
 # rank draw past the uniform sampler's doubling guard.
@@ -167,15 +167,6 @@ def _code(y: int, n: int) -> LehmerCode:
     for idx in range(n - 2, -1, -1):
         y, digits[idx] = divmod(y, n - idx)
     return tuple.__new__(LehmerCode, (tuple(digits),))
-
-
-def _need(kind: type, record) -> None:
-    """Raise ``TypeError`` unless record is a ``kind``, before any of
-    its fields is read: an object that only looks like one has had no
-    range check."""
-    if not isinstance(record, kind):
-        raise TypeError(
-            f"need a {kind.__name__}, got {type(record).__name__}")
 
 
 def factorial_decompose(rank: Rank) -> LehmerCode:

@@ -61,6 +61,9 @@ MUTANTS = [
     ("src/fastdice/core.py", "j = width - v.bit_length()\n        if",
      "j = width - v.bit_length() + 1\n        if",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
+    # A batch taking a look-alike plan, whose fields were never checked.
+    ("src/fastdice/batch.py", "    _need(BatchPlan, plan)\n", "",
+     "tests/test_batch.py::test_batch_refuses_lookalike_plans"),
     # A batch's digit loop one step short, or its leading digit put last.
     ("src/fastdice/batch.py", "range(plan.j - 1, 0, -1)",
      "range(plan.j - 1, 1, -1)",
@@ -91,6 +94,13 @@ MUTANTS = [
     ("src/fastdice/bitsource.py", "self._base = self._filled - self._pos",
      "self._base = self._filled - self._pos + 1",
      "tests/test_bitsource.py::test_counter_reset_only_resets_counter"),
+    # A denominator below 1 let through its check, and the degenerate
+    # branch answering a look-alike of Rational instead of refusing it.
+    ("src/fastdice/bernoulli.py", 'den = _at_least("den", den, 1)',
+     "den = index(den)",
+     "tests/test_bernoulli.py::test_check_denominator_refuses_below_one"),
+    ("src/fastdice/bernoulli.py", "        _need(Rational, p)\n", "",
+     "tests/test_bernoulli.py::test_degenerate_branch_refuses_lookalikes"),
     # Bernoulli answering with expansion bit t - 1 instead of bit t.
     ("src/fastdice/bernoulli.py", "(num << source.next_geometric()) // den",
      "(num << source.next_geometric() - 1) // den",
@@ -172,6 +182,10 @@ MUTANTS = [
     ("src/fastdice/cli.py", "(fisher_yates, check_range)",
      "(fisher_yates, check_unrank_size)",
      "tests/test_cli.py::test_perm_fy_has_no_cap"),
+    # cost taking a --seed that nothing reads.
+    ("src/fastdice/cli.py", 'p = sub.add_parser("cost",\n',
+     'p = sub.add_parser("cost", parents=[common],\n',
+     "tests/test_cli.py::test_cost_refuses_seed"),
     # bench tallying each value drawn once, however often it came up.
     ("src/fastdice/cli.py", "counts = Counter(draws)",
      "counts = Counter(set(draws))",

@@ -1,6 +1,7 @@
 import itertools
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy
 import pytest
@@ -70,6 +71,18 @@ def test_batch_plan_is_validated_when_built():
         assert [type(field) for field in plan] == [int, int, int]
     with pytest.raises(TypeError):
         BatchPlan(6, 2, 36.0)
+
+
+@pytest.mark.parametrize("plan", [SimpleNamespace(n=3, j=2, n_pow_j=10),
+                                  (3, 2, 9)], ids=["namespace", "tuple"])
+def test_batch_refuses_lookalike_plans(plan):
+    # A look-alike has had no check: a master range of 10 for two digits
+    # of 3 would give a leading digit of 3.  It is refused by type
+    # before any flip.
+    src = BufferedWordSource(0)
+    with pytest.raises(TypeError, match="^need a BatchPlan, got "):
+        batch_uniform(src, plan)
+    assert src.bits_consumed() == 0
 
 
 def test_auto_batch_size():

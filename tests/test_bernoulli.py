@@ -1,10 +1,11 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from fastdice import (BufferedWordSource, ImproperFraction, Rational,
                       ScriptedBitSource, bernoulli_rational,
-                      binary_expansion)
+                      binary_expansion, check_denominator)
 
 from conftest import (Hang, Words, bernoulli_biases, deadline, law,
                       mean_flips, walk)
@@ -91,6 +92,24 @@ def test_degenerate_zero_flips():
 def test_denominator_guard():
     with pytest.raises(ValueError):
         bernoulli_rational(ScriptedBitSource([1]), Rational(1, (1 << 62) + 1))
+
+
+@pytest.mark.parametrize("den", [0, -1, -5])
+def test_check_denominator_refuses_below_one(den):
+    with pytest.raises(ValueError, match=f"^need den >= 1, got {den}$"):
+        check_denominator(den)
+
+
+@pytest.mark.parametrize("p", [SimpleNamespace(num=0, den=0),
+                               SimpleNamespace(num=7, den=-3)],
+                         ids=["0/0", "7/-3"])
+def test_degenerate_branch_refuses_lookalikes(p):
+    # Neither is a bias in [0, 1]; as look-alikes of Rational they never
+    # met its check, and the degenerate branch refuses them by type.
+    src = BufferedWordSource(0)
+    with pytest.raises(TypeError, match="^need a Rational, got "):
+        bernoulli_rational(src, p)
+    assert src.bits_consumed() == 0
 
 
 def test_exact_acceptance_probability():

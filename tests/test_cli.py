@@ -255,6 +255,14 @@ def test_cost_range_error():
     assert r.returncode == 2
 
 
+def test_cost_refuses_seed():
+    # cost draws nothing, so a seed would be read by no one
+    r = run_cli("cost", "--n-min", "2", "--n-max", "3", "--seed", "1")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments: --seed 1" in r.stderr
+
+
 # ---------------------------------------------------------------- bench
 
 

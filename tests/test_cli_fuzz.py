@@ -6,7 +6,8 @@ unranking, 2**62/2**62+1 for the doubling guard, 10**23 beyond every
 end in exit status 0 or 2, or argparse's SystemExit(2): never another
 exception, and never a hang, which a per-argv deadline turns into a
 failure.  ``--format`` goes to perm, cost and bench only now and then,
-and there must end in status 2.  Half the time an option instead takes
+and there must end in status 2; so does ``--seed`` to cost, which draws
+nothing and refuses it.  Half the time an option instead takes
 a value from a small pool its guards accept, so that runs also get past
 argparse and the range checks: each subcommand must exit 0 at least
 ``PASSES`` times.  Counts stay at most 3 and --n-max within 2 of
@@ -31,7 +32,8 @@ COUNTS = ["0", "1", "2", "3", "-1", "abc", "0x10", "auto"]
 SMALL = ("1", "2", "3")  # counts and batch sizes every guard accepts
 ARGVS = 1200
 IN_RANGE = 0.5  # how often an option takes a value its guards accept
-FORMAT_ELSEWHERE = 0.05  # how often perm, cost and bench get --format
+REFUSED = {"--format": ("perm", "cost", "bench"), "--seed": ("cost",)}
+REFUSED_RATE = 0.05  # how often a subcommand gets a flag it refuses
 SECONDS = 5
 PASSES = 15  # status-0 runs each subcommand must reach
 
@@ -47,10 +49,13 @@ def pick(rng: random.Random, values: list[str],
 
 def fuzz_argv(rng: random.Random) -> list[str]:
     sub = rng.choice(SUBCOMMANDS)
-    opts = {"--seed": pick(rng, EDGES, ("1", "0x10"))}
-    # --format only formats uniform and bernoulli; the other three must
-    # refuse it, which stops the run at argparse, so they get it rarely
-    if sub in ("uniform", "bernoulli") or rng.random() < FORMAT_ELSEWHERE:
+    opts = {}
+    # A subcommand that refuses a flag stops at argparse when given it,
+    # so it gets that flag rarely: cost draws nothing and takes no
+    # --seed, and only uniform and bernoulli take --format.
+    if sub not in REFUSED["--seed"] or rng.random() < REFUSED_RATE:
+        opts["--seed"] = pick(rng, EDGES, ("1", "0x10"))
+    if sub not in REFUSED["--format"] or rng.random() < REFUSED_RATE:
         opts["--format"] = pick(rng, ["text", "csv", "xml"], ("text", "csv"))
     if sub in ("uniform", "bench"):
         opts.update({"--n": pick(rng, EDGES, ("2", "3", "6")),
@@ -94,7 +99,7 @@ def run(argv: list[str]) -> int:
 
 def test_every_argv_exits_0_or_2():
     rng = random.Random(6)
-    refused = 0
+    refused = Counter()
     passed = Counter()
     for _ in range(ARGVS):
         argv = fuzz_argv(rng)
@@ -105,8 +110,10 @@ def test_every_argv_exits_0_or_2():
             raise AssertionError(f"{argv} raised {exc!r}") from exc
         assert status in (0, 2), argv
         passed[argv[0]] += status == 0
-        if argv[0] in ("perm", "cost", "bench") and "--format" in argv:
+        flags = [flag for flag, subs in REFUSED.items()
+                 if argv[0] in subs and flag in argv]
+        if flags:
             assert status == 2, argv
-            refused += 1
-    assert refused > 0
+            refused.update(flags)
+    assert min(refused[flag] for flag in REFUSED) > 0, refused
     assert min(passed[sub] for sub in SUBCOMMANDS) >= PASSES, passed
