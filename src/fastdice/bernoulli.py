@@ -62,9 +62,7 @@ class Rational:
     __match_args__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        num, den = index(num), index(den)
-        if den < 1:
-            raise ValueError(f"denominator must be >= 1, got {den}")
+        num, den = index(num), _at_least("den", den, 1)
         if not 0 <= num <= den:
             raise ValueError(f"need 0 <= num <= den, got {num}/{den}")
         object.__setattr__(self, "num", num)

@@ -221,8 +221,8 @@ class BufferedWordSource(RandomBitSource):
     ``_pos`` bits of ``_buf``, served most significant first, and only
     ``next_bits`` fills.  So k <= ``_pos`` bits are read by lowering
     ``_pos`` by k, and a reader that keeps the two in locals stores its
-    position back before it calls a method.  A subclass is read through
-    its methods only.
+    position back before it calls a method.  A subclass is shuffled by
+    ``core._fdr``'s draws, through its own methods.
 
     Raises:
         TypeError: the argument is neither an int seed nor an object

@@ -41,25 +41,24 @@ median single draw of the draw benchmark from 0.66 to 0.71 us (Python
 3.11 on a shared 2-CPU host).  Only a rejected read goes on into the
 loop, which reads each recycle step with ``source.next_bits``.
 
-``_fdr_shuffle``, the Fisher-Yates shuffle, runs in one frame too.  It
-draws each offset with the same first read, finishes a rejected one
-with its own copy of ``_fdr``'s loop, and swaps the offset in at once,
-so it builds no list of offsets.  Its sizes fall by one per step, so
-the width steps down by one when the size reaches the next power of two
-below it, and no offset takes a ``bit_length``.  On a
-``BufferedWordSource`` of exactly that type it also makes its reads in
-its own frame: it copies the buffer and its position into locals, takes
-each read that fits from them with the arithmetic of ``next_bits``'s
-in-buffer path, and stores the position back before each refill through
-``next_bits``, before each raise and before it returns.  A shuffle of
-52 then makes a method call per refill, not one per offset plus a
-helper call per rejection, and the p99.9 latency of the consumers
-benchmark, which is all shuffles, fell by about a fifth.  Sending the
-rejections to a shared helper instead, whether or not it also read in
-place, kept at most three fifths of that gain.  Any other source,
-subclasses included, starts with an empty local buffer, so every read
-falls through to its ``next_bits`` with the widths the single draws
-would ask for.
+``_fdr_shuffle``, the Fisher-Yates shuffle, swaps each offset in as it
+draws it, so it builds no list of offsets.  It splits by source once,
+at entry.  Any source but an exact ``BufferedWordSource``, subclasses
+included (one may override ``next_bits``), is shuffled by one ``_fdr``
+draw per size.  The exact type is read in place, in one frame: the
+buffer and its position are copied into locals, each read that fits is
+taken from them with the arithmetic of ``next_bits``'s in-buffer path,
+and the position is stored back before each refill through
+``next_bits``, before each raise and before the return.  Each offset
+takes ``_fdr``'s first read and finishes a rejected one with its own
+copy of ``_fdr``'s loop.  The sizes fall by one per step, so the width
+steps down by one when the size reaches the next power of two below
+it, and no offset takes a ``bit_length``.  A shuffle of 52 then makes
+a method call per refill, not one per offset plus a helper call per
+rejection, and the p99.9 latency of the consumers benchmark, which is
+all shuffles, fell by about a fifth.  Sending the rejections to a
+shared helper instead, whether or not it also read in place, kept at
+most three fifths of that gain.
 
 Both recycle loops end each step with the loop-invariant ``assert``,
 so it checks every recycled state; a source that serves c >= 2**width
@@ -87,7 +86,7 @@ read: 6.0 passes the range comparison but has no ``bit_length``, NaN
 fails the comparison and ``check_range``, a string cannot be compared.
 ``_fdr`` then re-enters with ``check_range(n)``, which either raises
 ``TypeError`` or hands over the int, so an ``__index__`` integer draws
-exactly like its int value.  ``_fdr_shuffle`` has no such entry: its
+exactly like its int value.  ``_fdr_shuffle`` needs no such entry: its
 sizes are at most the length of its list, which its caller checked.
 """
 
@@ -197,14 +196,16 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
     t[i] with t[i + d], d uniform on the len(t) - i values left.
 
     Reads the same bits as ``_fdr(source, m)`` for m = len(t), ..., 2,
-    in that order; a source read through ``next_bits`` sees the same
-    calls.  Takes no size check: each m is at most len(t), which the
-    caller has checked.
+    in that order.  Any source but an exact ``BufferedWordSource`` is
+    read by those very draws; that type is read in place.  Takes no
+    size check: each m is at most len(t), which the caller has checked.
     """
-    # Only the exact type is read in place: a subclass may override
-    # next_bits, so it gets pos = 0 and every read falls through to it.
-    in_place = type(source) is BufferedWordSource
-    buf, pos = (source._buf, source._pos) if in_place else (0, 0)
+    if type(source) is not BufferedWordSource:  # subclasses included
+        for i in range(len(t) - 1):
+            c = i + _fdr(source, len(t) - i)[0]
+            t[i], t[c] = t[c], t[i]
+        return t
+    buf, pos = source._buf, source._pos
     masks = _LOW_MASKS
     n = len(t)
     width = (n - 1).bit_length()
@@ -217,19 +218,16 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
         if width <= pos:
             pos -= width
             c = buf >> pos & masks[width]
-        elif in_place:
+        else:
             source._pos = pos
             c = source.next_bits(width)
             buf, pos = source._buf, source._pos
-        else:
-            c = source.next_bits(width)
         if c >= m:  # rejected on the first read: _fdr's loop, inline
             bits = width
             v = 1 << width
             while c >= m:
                 if bits > _MAX_FLIPS:
-                    if in_place:
-                        source._pos = pos
+                    source._pos = pos
                     raise FastdiceError(f"no value for n={m} after {bits} "
                                         "flips: the bit source looks stuck")
                 v -= m
@@ -241,18 +239,15 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
                 if j <= pos:
                     pos -= j
                     c = c << j | buf >> pos & masks[j]
-                elif in_place:
+                else:
                     source._pos = pos
                     c = c << j | source.next_bits(j)
                     buf, pos = source._buf, source._pos
-                else:
-                    c = c << j | source.next_bits(j)
                 bits += j
                 assert c < v and m <= v < (m << 1)  # as in _fdr
         c += i
         t[i], t[c] = t[c], t[i]
-    if in_place:
-        source._pos = pos
+    source._pos = pos
     return t
 
 

@@ -5,7 +5,8 @@ can state a sampler's law exactly: the mass of every result and of the
 draws still undecided at a given depth.  ``mass``, ``law`` and
 ``mean_flips`` sum a walk's prefixes into exact Fractions, and
 ``returning_errors`` lets a walk record the draws that raise, such as
-those a lowered flip cap cuts off.
+those a lowered flip cap cuts off, and ``in_place`` walks a draw on an
+exact ``BufferedWordSource``.
 
 The test doubles, each defined here once:
 
@@ -42,8 +43,9 @@ import subprocess
 from fractions import Fraction
 from pathlib import Path
 
-from fastdice import (FastdiceError, RandomBitSource, Rational,
-                      ScriptExhausted, ScriptedBitSource)
+from fastdice import (BufferedWordSource, FastdiceError, RandomBitSource,
+                      Rational, ScriptExhausted, ScriptedBitSource,
+                      ScriptedWords)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 _ORACLE = importlib.util.spec_from_file_location(
@@ -107,6 +109,28 @@ def returning_errors(draw):
         except FastdiceError as exc:
             return exc
     return caught
+
+
+def in_place(draw, preload):
+    """``draw`` made on an exact ``BufferedWordSource`` that serves the
+    walk's script: up to ``preload`` flips of it already in the buffer,
+    the rest as fills of one flip each, so a walk reaches reads from the
+    buffer, refills, and a buffer that runs dry inside a read.
+
+    It fills ``_buf``, ``_pos`` and ``_filled`` as the class's docstring
+    lays them out.  A draw that returns must have read every preloaded
+    flip, as the walk checks it has read the rest of the script.
+    """
+    def buffered(script):
+        source = BufferedWordSource(ScriptedWords([]))
+        source._pos = source._filled = k = min(preload, script.remaining)
+        source._buf = script.next_bits(k)
+        source._fill, source._width, source._mask = script.next_bit, 1, 1
+        result = draw(source)
+        assert source._pos == 0, (
+            f"the draw returned with {source._pos} preloaded flips unread")
+        return result
+    return buffered
 
 
 def mass(prefixes):

@@ -105,38 +105,38 @@ MUTANTS = [
     ("src/fastdice/bernoulli.py", "(num << source.next_geometric()) // den",
      "(num << source.next_geometric() - 1) // den",
      "tests/test_bernoulli.py::test_decision_bit_is_expansion_bit"),
-    # Fisher-Yates one digit short: the swap with 2 values never drawn.
+    # Fisher-Yates one digit short, read by single draws or in place:
+    # the swap with 2 values never drawn.
+    ("src/fastdice/core.py", "for i in range(len(t) - 1):",
+     "for i in range(len(t) - 2):",
+     PERM + "test_fisher_yates_trace_three"),
     ("src/fastdice/core.py", "for i in range(n - 1):",
      "for i in range(n - 2):",
-     "tests/test_permutation.py::test_fisher_yates_trace_three"),
-    # The shuffle's width stepping down one size late: a power of two
+     FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
+    # The in-place width stepping down one size late: a power of two
     # read one flip too wide.
     ("src/fastdice/core.py", "if m <= half:", "if m < half:",
-     FDR + "test_fdr_shuffle_reads_as_its_single_draws_in_turn"),
-    # The shuffle's own recycle step: one flip too many, and its cap
-    # one step early or its raise leaving the buffer position unstored.
+     FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
+    # The in-place recycle step: one flip too many, and its cap one
+    # step early or its raise leaving the buffer position unstored.
     ("src/fastdice/core.py", "j = width - v.bit_length()\n                if",
      "j = width - v.bit_length() + 1\n                if",
-     FDR + "test_fdr_shuffle_reads_as_its_single_draws_in_turn"),
+     FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
     ("src/fastdice/core.py",
-     "if bits > _MAX_FLIPS:\n                    if in_place:",
-     "if bits >= _MAX_FLIPS:\n                    if in_place:",
+     "if bits > _MAX_FLIPS:\n                    source._pos = pos",
+     "if bits >= _MAX_FLIPS:\n                    source._pos = pos",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
-    ("src/fastdice/core.py",
-     "if in_place:\n                        source._pos = pos\n",
-     "if in_place:\n                        pass\n",
-     FDR + "test_a_capped_shuffle_raises_as_single_draws"),
+    ("src/fastdice/core.py", "source._pos = pos\n                    raise",
+     "raise", FDR + "test_a_capped_shuffle_raises_as_single_draws"),
     # The shuffle reading a subclass's buffer in place, past its own
     # next_bits.
-    ("src/fastdice/core.py", "in_place = type(source) is BufferedWordSource",
-     "in_place = isinstance(source, BufferedWordSource)",
+    ("src/fastdice/core.py", "if type(source) is not BufferedWordSource:",
+     "if not isinstance(source, BufferedWordSource):",
      FDR + "test_a_subclass_sees_every_read_of_the_shuffle"),
     # The shuffle's buffer position left unstored: at the return, or
     # before a refill on the first read or in a recycle step.
-    ("src/fastdice/core.py",
-     "if in_place:\n        source._pos = pos\n    return t",
-     "return t",
-     "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
+    ("src/fastdice/core.py", "source._pos = pos\n    return t", "return t",
+     FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
     ("src/fastdice/core.py",
      "source._pos = pos\n            c = source.next_bits(width)",
      "c = source.next_bits(width)",
@@ -145,6 +145,9 @@ MUTANTS = [
      "source._pos = pos\n                    c = c << j | source.next_bits(j)",
      "c = c << j | source.next_bits(j)",
      "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
+    # A period search stepping by 4: for m = 3 it never returns.
+    ("src/fastdice/cost.py", "x = (x << 1) % m", "x = (x << 2) % m",
+     "tests/test_cost.py::test_known_rational_values"),
     # The cost series off by one past 200 terms.
     ("src/fastdice/cost.py", "f = (r << shift) // mod",
      "f = (r << shift) // mod + (terms > 200)",
@@ -178,6 +181,9 @@ MUTANTS = [
      "stat = 0.0",
      "tests/test_cli.py::"
      "test_chi_square_adds_the_expectation_of_each_unseen_cell"),
+    # The CLI's lower bounds worded as strict.
+    ("src/fastdice/cli.py", 'f"must be >= {lo}"', 'f"must be > {lo}"',
+     "tests/test_cli.py::test_uniform_usage_error"),
     # perm --method fy held to the unranking cap of 20.
     ("src/fastdice/cli.py", "(fisher_yates, check_range)",
      "(fisher_yates, check_unrank_size)",

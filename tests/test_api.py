@@ -121,7 +121,7 @@ NOT_AN_INT = "'%s' object cannot be interpreted as an integer"
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: Rational(1, 0), ValueError, "denominator must be >= 1, got 0"),
+    (lambda: Rational(1, 0), ValueError, "need den >= 1, got 0"),
     (lambda: Rational(5, 4), ValueError, "need 0 <= num <= den, got 5/4"),
     (lambda: Rational(-1, 4), ValueError, "need 0 <= num <= den, got -1/4"),
     (lambda: LehmerCode((0, 0, 1)), DigitOutOfRange,

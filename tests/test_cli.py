@@ -112,6 +112,8 @@ def test_uniform_batch_divisibility_error():
 def test_uniform_usage_error():
     r = run_cli("uniform", "--n", "0")
     assert r.returncode == 2
+    assert r.stdout == ""
+    assert "argument --n: must be >= 1" in r.stderr
 
 
 @pytest.mark.parametrize("argv", [["uniform", "--n", "abc"],

@@ -531,7 +531,8 @@ def test_rank_routes_keep_their_guards():
         (check_range, (0, -1, 2 ** 62 + 1, 10 ** 23) + non_ints,
          (fdr_uniform,)),
         (check_range, (2 ** 62 + 1, 2 ** 64) + non_ints, (fisher_yates,)),
-        (check_denominator, (2 ** 62 + 1, 10 ** 23) + non_ints, (bernoulli,)),
+        (check_denominator, (0, -1, 2 ** 62 + 1, 10 ** 23) + non_ints,
+         (bernoulli,)),
     ]
     for check, bads, draws in guards:
         for bad in bads:

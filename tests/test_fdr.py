@@ -14,7 +14,7 @@ from fastdice import (BufferedWordSource, EmptyRange, FastdiceError,
 from fastdice import core
 from fastdice.core import _fdr, _fdr_shuffle
 
-from conftest import (Words, deadline, law, mass, mean_flips,
+from conftest import (Words, deadline, in_place, law, mass, mean_flips,
                       returning_errors, state, walk)
 
 
@@ -255,22 +255,38 @@ def test_a_capped_shuffle_raises_as_single_draws(monkeypatch):
     assert 20 < raised < 80
 
 
+@pytest.mark.parametrize("n, depth", [
+    (2, 40), (3, 40), (4, 40), (5, 40), (6, 20)])
+def test_the_in_place_shuffle_has_the_tree_of_its_single_draws(n, depth):
+    # Fisher-Yates on an exact BufferedWordSource, read in place, has the
+    # tree of the single draws that shuffle every other source: the same
+    # leaves, permutations and open prefixes.  With nothing preloaded
+    # every read refills; with 5 flips the buffer runs dry inside a
+    # draw; with the whole script every read is taken from the buffer.
+    def shuffle(source):
+        return tuple(fisher_yates(source, n))
+    want = walk(shuffle, depth)
+    for preload in (0, 5, depth):
+        assert walk(in_place(shuffle, preload), depth) == want
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_flip_cap_keeps_fisher_yates_exact(n, monkeypatch):
-    # The shuffle's digits share _fdr's recycle loop and its cap.
-    # With the cap at 6 flips every digit's draw ends within 8 flips, so
-    # the walk leaves nothing open, and the permutations that return are
+    # The shuffle's digits keep _fdr's cap, read in place or not.  With
+    # the cap at 6 flips every digit's draw ends within 8 flips, so the
+    # walk leaves nothing open, and the permutations that return are
     # still all equally likely.
     monkeypatch.setattr(core, "_MAX_FLIPS", 6)
-    leaves, open_ = walk(
-        returning_errors(lambda s: tuple(fisher_yates(s, n))), 64)
-    assert open_ == [] and mass(leaves) == 1
-    perms = law({prefix: result for prefix, result in leaves.items()
-                 if type(result) is tuple})
-    assert perms.keys() == set(itertools.permutations(range(1, n + 1)))
-    assert len(set(perms.values())) == 1
-    assert all(type(result) is FastdiceError for result in leaves.values()
-               if type(result) is not tuple)
+    shuffle = returning_errors(lambda s: tuple(fisher_yates(s, n)))
+    for draw in (shuffle, *(in_place(shuffle, p) for p in (0, 5, 64))):
+        leaves, open_ = walk(draw, 64)
+        assert open_ == [] and mass(leaves) == 1
+        perms = law({prefix: result for prefix, result in leaves.items()
+                     if type(result) is tuple})
+        assert perms.keys() == set(itertools.permutations(range(1, n + 1)))
+        assert len(set(perms.values())) == 1
+        assert all(type(result) is FastdiceError
+                   for result in leaves.values() if type(result) is not tuple)
 
 
 @pytest.mark.parametrize("n", range(1, 65))
