@@ -16,15 +16,17 @@ for _ in range(10):
 print(f"meter: {src.bits_consumed()} flips total\n")
 
 # dyadic n: the cost is deterministic
-src.reset_bit_count()
+start = src.bits_consumed()
 for _ in range(1000):
     fdr_uniform(src, 8)
-print(f"1000 draws of n=8 cost {src.bits_consumed()} flips (3 each, always)")
+print(f"1000 draws of n=8 cost {src.bits_consumed() - start} flips "
+      "(3 each, always)")
 
 # non-dyadic n: the average settles on the exact expectation u(n)
-src.reset_bit_count()
+start = src.bits_consumed()
 draws = 200_000
 for _ in range(draws):
     fdr_uniform(src, 6)
-print(f"{draws} draws of n=6: {src.bits_consumed() / draws:.4f} flips/draw, "
+spent = src.bits_consumed() - start
+print(f"{draws} draws of n=6: {spent / draws:.4f} flips/draw, "
       f"theory {exact_cost(6):.4f} (= 11/3)")

@@ -100,8 +100,9 @@ def binary_expansion(p: Rational, count: int) -> list[int]:
     Raises:
         ImproperFraction: num >= den (the expansion needs p < 1).
         ValueError: den beyond the 2**62 limit, or count < 0.
-        TypeError: count is not an integer.
+        TypeError: p is not a ``Rational``, or count is not an integer.
     """
+    _need(Rational, p)
     if p.num >= p.den:
         raise ImproperFraction(f"{p.num}/{p.den} is not in [0, 1)")
     check_denominator(p.den)

@@ -138,11 +138,12 @@ class ScriptedWords:
 
 
 class RandomBitSource(ABC):
-    """A stream of fair bits, with an auditable consumption counter.
+    """A stream of fair bits, with a meter that only goes up.
 
-    ``next_bit`` is the only reading method a subclass must define.
-    ``next_bits`` and ``next_geometric`` default to loops over it; a
-    subclass may override them with faster reads of the same stream.
+    A subclass defines ``next_bit`` and ``bits_consumed``; the flips of
+    any stretch of draws are the difference of two readings.
+    ``next_bits`` and ``next_geometric`` default to loops over
+    ``next_bit``; a subclass may override them with faster reads.
     """
 
     @abstractmethod
@@ -181,11 +182,7 @@ class RandomBitSource(ABC):
 
     @abstractmethod
     def bits_consumed(self) -> int:
-        """Total bits served since construction or the last counter reset."""
-
-    @abstractmethod
-    def reset_bit_count(self) -> None:
-        """Zero the consumption counter without touching the bit stream."""
+        """Total bits served since construction."""
 
 
 class BufferedWordSource(RandomBitSource):
@@ -213,8 +210,7 @@ class BufferedWordSource(RandomBitSource):
 
     No read updates a counter beyond the buffer position: the source
     counts the bits put into the buffer, once per fill, and derives
-    ``bits_consumed`` as those bits - the bits still unread - the value
-    that difference had at the last ``reset_bit_count``.
+    ``bits_consumed`` as those bits less the bits still unread.
 
     ``core._fdr_shuffle`` reads an instance of exactly this class in
     place, and relies on this layout: the unread bits are the low
@@ -244,7 +240,6 @@ class BufferedWordSource(RandomBitSource):
         self._buf = 0
         self._pos = 0  # bits still unread in the buffer
         self._filled = 0  # bits put into the buffer
-        self._base = 0  # _filled - _pos at the last reset
 
     def __copy__(self):
         from copy import copy  # here, so that importing fastdice skips it
@@ -312,10 +307,7 @@ class BufferedWordSource(RandomBitSource):
         return t + width - left + 1
 
     def bits_consumed(self) -> int:
-        return self._filled - self._pos - self._base
-
-    def reset_bit_count(self) -> None:
-        self._base = self._filled - self._pos
+        return self._filled - self._pos
 
     @property
     def words_fetched(self) -> int:
@@ -330,14 +322,12 @@ class ScriptedBitSource(RandomBitSource):
     ScriptExhausted, ``remaining`` is 0, ``bits_consumed`` has counted the
     whole rest of the script, and the message names the script's full
     length, whichever method read.  Like ``BufferedWordSource``, it keeps
-    no bit counter: ``bits_consumed`` is the replay cursor less its value
-    at the last ``reset_bit_count``.
+    no bit counter: ``bits_consumed`` is the replay cursor.
     """
 
     def __init__(self, bits: Iterable[int]):
         self._bits = [b & 1 for b in bits]
         self._next = 0
-        self._base = 0  # the cursor at the last reset
 
     def next_bit(self) -> int:
         if self._next >= len(self._bits):
@@ -348,11 +338,7 @@ class ScriptedBitSource(RandomBitSource):
         return b
 
     def bits_consumed(self) -> int:
-        return self._next - self._base
-
-    def reset_bit_count(self) -> None:
-        # Moves the base only; the replay cursor never rewinds.
-        self._base = self._next
+        return self._next
 
     @property
     def remaining(self) -> int:

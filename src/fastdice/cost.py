@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .batch import plan_batch
 from .bernoulli import Rational
-from .errors import PoleAtOne, _at_least
+from .errors import PoleAtOne, _at_least, _need
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
@@ -253,7 +253,11 @@ def nu_exact(p: Rational) -> Fraction:
     log2(period) mask passes over one period's bits.  Runtime and result
     size still grow with the multiplicative order of 2 mod the odd part
     of den (worst case about den); use nu when a double is enough.
+
+    Raises:
+        TypeError: p is not a ``Rational``.
     """
+    _need(Rational, p)
     r, den = _lowest_terms(p)
     return _series_exact(r, den, den)
 
@@ -265,7 +269,11 @@ def nu(p: Rational) -> float:
     frac(2**k * p) / 2**k is summed to about den.bit_length() + 72 terms
     and certified against its tail bound, like exact_cost, so the time
     depends on the bit length of the denominator, not on its period.
+
+    Raises:
+        TypeError: p is not a ``Rational``.
     """
+    _need(Rational, p)
     r, den = _lowest_terms(p)
     if _split_power_of_two(den)[1] == 1:
         return float(_series_exact(r, den, den))

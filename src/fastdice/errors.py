@@ -14,7 +14,11 @@ each also inherits ``_Record``, so that ``_replace`` builds through
 that ``__new__`` and validates too.  A function that takes a record,
 or a ``Rational``, without checking its fields again calls ``_need``
 first, which refuses anything of another type with ``TypeError``: an
-object that merely has the same fields has had no range check.
+object that merely has the same fields has had no range check.  These
+are ``batch_uniform``, ``factorial_decompose``, both
+``lehmer_to_permutation`` routes, ``binary_expansion``, ``nu`` and
+``nu_exact``; ``bernoulli_rational`` calls it only off its
+one-comparison path.
 """
 
 from operator import index

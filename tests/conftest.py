@@ -12,8 +12,8 @@ The test doubles, each defined here once:
 
 - ``deadline(seconds)`` raises ``Hang`` in a block that runs too long,
   so a test that would hang fails instead;
-- ``NextBitOnly(bits)`` is a custom source that defines only
-  ``next_bit``, so it reaches every ``RandomBitSource`` default;
+- ``NextBitOnly(bits)`` is a custom source that defines only the two
+  required methods, so it reaches every ``RandomBitSource`` default;
 - ``Words(*words)`` is a caller's word generator that cycles through
   ints, in [0, 2**32) or not;
 - ``Index`` is an integer by ``__index__`` alone;
@@ -191,8 +191,9 @@ def deadline(seconds):
 
 
 class NextBitOnly(RandomBitSource):
-    """A custom source that defines only ``next_bit``, serving ``bits``,
-    so it inherits every default read; it counts the bits it serves."""
+    """A custom source that defines only the two required methods:
+    ``next_bit``, serving ``bits``, so it inherits every default read,
+    and ``bits_consumed``, the count of bits it has served."""
 
     def __init__(self, bits):
         self._bits = iter(bits)
@@ -205,9 +206,6 @@ class NextBitOnly(RandomBitSource):
 
     def bits_consumed(self):
         return self.count
-
-    def reset_bit_count(self):
-        self.count = 0
 
 
 class Words:

@@ -90,16 +90,21 @@ MUTANTS = [
     ("src/fastdice/bitsource.py", "(self._filled - self._pos + 31) // 32",
      "(self._filled - self._pos + 32) // 32",
      "tests/test_bitsource.py::test_next_bits_exact_word_fetches_one_word"),
-    # A counter reset one bit off.
-    ("src/fastdice/bitsource.py", "self._base = self._filled - self._pos",
-     "self._base = self._filled - self._pos + 1",
-     "tests/test_bitsource.py::test_counter_reset_only_resets_counter"),
+    # The bit meter one bit off.
+    ("src/fastdice/bitsource.py", "return self._filled - self._pos\n",
+     "return self._filled - self._pos + 1\n",
+     "tests/test_bitsource.py::test_word_economy"),
     # A denominator below 1 let through its check, and the degenerate
     # branch answering a look-alike of Rational instead of refusing it.
     ("src/fastdice/bernoulli.py", 'den = _at_least("den", den, 1)',
      "den = index(den)",
      "tests/test_bernoulli.py::test_check_denominator_refuses_below_one"),
     ("src/fastdice/bernoulli.py", "        _need(Rational, p)\n", "",
+     "tests/test_bernoulli.py::test_degenerate_branch_refuses_lookalikes"),
+    # nu reading a look-alike's fields: 5/3 answers as 2/3.
+    ("src/fastdice/cost.py",
+     "    _need(Rational, p)\n    r, den = _lowest_terms(p)\n    if",
+     "    r, den = _lowest_terms(p)\n    if",
      "tests/test_bernoulli.py::test_degenerate_branch_refuses_lookalikes"),
     # Bernoulli answering with expansion bit t - 1 instead of bit t.
     ("src/fastdice/bernoulli.py", "(num << source.next_geometric()) // den",

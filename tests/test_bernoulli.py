@@ -5,7 +5,7 @@ import pytest
 
 from fastdice import (BufferedWordSource, ImproperFraction, Rational,
                       ScriptedBitSource, bernoulli_rational,
-                      binary_expansion, check_denominator)
+                      binary_expansion, check_denominator, nu, nu_exact)
 
 from conftest import (Hang, Words, bernoulli_biases, deadline, law,
                       mean_flips, walk)
@@ -101,14 +101,21 @@ def test_check_denominator_refuses_below_one(den):
 
 
 @pytest.mark.parametrize("p", [SimpleNamespace(num=0, den=0),
-                               SimpleNamespace(num=7, den=-3)],
-                         ids=["0/0", "7/-3"])
+                               SimpleNamespace(num=7, den=-3),
+                               SimpleNamespace(num=-1, den=3),
+                               SimpleNamespace(num=5, den=3),
+                               SimpleNamespace(num=1, den=0)],
+                         ids=["0/0", "7/-3", "-1/3", "5/3", "1/0"])
 def test_degenerate_branch_refuses_lookalikes(p):
-    # Neither is a bias in [0, 1]; as look-alikes of Rational they never
-    # met its check, and the degenerate branch refuses them by type.
+    # None is a bias in [0, 1]; as look-alikes of Rational they never
+    # met its check.  The degenerate branch refuses them by type, and so
+    # do the expansion and nu, before they read a field.
     src = BufferedWordSource(0)
-    with pytest.raises(TypeError, match="^need a Rational, got "):
-        bernoulli_rational(src, p)
+    for call in (lambda: bernoulli_rational(src, p),
+                 lambda: binary_expansion(p, 4), lambda: nu(p),
+                 lambda: nu_exact(p)):
+        with pytest.raises(TypeError, match="^need a Rational, got "):
+            call()
     assert src.bits_consumed() == 0
 
 

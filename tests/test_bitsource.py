@@ -81,27 +81,6 @@ def test_determinism_and_independence():
     assert inter_e == stream_a[:50]
 
 
-def test_counter_reset_only_resets_counter():
-    src = BufferedWordSource(7)
-    first = [src.next_bit() for _ in range(10)]
-    src.reset_bit_count()
-    assert src.bits_consumed() == 0
-    cont = [src.next_bit() for _ in range(10)]
-    assert src.bits_consumed() == 10
-    # the stream did not rewind
-    ref = BufferedWordSource(7)
-    assert [ref.next_bit() for _ in range(20)] == first + cont
-
-
-def test_scripted_reset():
-    src = ScriptedBitSource([1, 1, 0, 0])
-    src.next_bit()
-    src.reset_bit_count()
-    assert src.bits_consumed() == 0
-    assert src.next_bit() == 1  # cursor advanced past the first bit
-    assert src.remaining == 2
-
-
 def test_splitmix_words_are_32_bit():
     gen = SplitMix64Words(0xFFFFFFFFFFFFFFFF)
     for _ in range(1000):
@@ -198,21 +177,6 @@ def test_next_bits_exact_word_fetches_one_word():
     assert src.words_fetched == 1
 
 
-def test_reset_mid_stream_with_bulk_reads():
-    src = BufferedWordSource(7)
-    first = src.next_bits(45)
-    src.reset_bit_count()
-    assert src.bits_consumed() == 0
-    mid = src.next_bit()
-    cont = src.next_bits(20)
-    assert src.bits_consumed() == 21
-    ref = BufferedWordSource(7)
-    assert ref.next_bits(45) == first
-    assert ref.next_bit() == mid
-    assert ref.next_bits(20) == cont
-    assert ref.words_fetched == src.words_fetched
-
-
 def test_scripted_bulk_reads():
     src = ScriptedBitSource([1, 0, 1, 1, 0, 0, 0, 1, 0])
     assert src.next_bits(4) == 0b1011
@@ -297,23 +261,22 @@ def _read_alike(sources, read, words):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_derived_counter_matches_a_per_bit_counter(seed):
-    # Random interleavings of single reads, bulk reads of 0..300 bits,
-    # geometric reads and counter resets: both fill widths against a
-    # scripted source that counts every bit.
+    # Random interleavings of single reads, bulk reads of 0..300 bits
+    # and geometric reads: both fill widths against a scripted source
+    # that counts every bit.  After every read each buffered source has
+    # fetched ceil(bits consumed / 32) words.
     rng = random.Random(seed)
     words = 400 * 300 // 32 + 64
     sources = _three_sources(seed, words)
     for _ in range(400):
-        op = rng.choice(("bit", "reset", "geometric", "bits", "bits"))
-        if op == "reset":
-            for src in sources:
-                src.reset_bit_count()
-            _read_alike(sources, methodcaller("bits_consumed"), words)
-        elif op == "bits":
+        op = rng.choice(("bit", "geometric", "bits", "bits"))
+        if op == "bits":
             k = rng.randint(0, 300)
             _read_alike(sources, lambda src: src.next_bits(k), words)
         else:
             _read_alike(sources, methodcaller("next_" + op), words)
+        for src in sources[:2]:
+            assert src.words_fetched == -(-src.bits_consumed() // 32)
 
 
 @pytest.mark.parametrize("before", [0, 5, 96, 128, 200])
@@ -426,6 +389,8 @@ def test_geometric_reads_within_a_word():
 @pytest.mark.parametrize("make", [ScriptedBitSource, NextBitOnly],
                          ids=["scripted", "default"])
 def test_default_geometric_loops_over_next_bit(make):
+    assert RandomBitSource.__abstractmethods__ == {"next_bit",
+                                                   "bits_consumed"}
     src = make([1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1])
     assert [src.next_geometric() for _ in range(3)] == [1, 3, 7]
     assert src.bits_consumed() == 11
