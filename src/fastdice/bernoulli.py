@@ -130,15 +130,19 @@ def bernoulli_rational(source: RandomBitSource, p: Rational) -> int:
     period of 2 mod den.
 
     Raises:
-        TypeError: p is not a ``Rational`` and its bias is not strictly
-            between 0 and 1 with den <= 2**62.  The type is checked only
-            off the one-comparison path, so inside that range a look-alike
-            with integer fields draws as its ``Rational`` would.
+        TypeError: p is not a ``Rational``, and it lacks ``num`` or
+            ``den`` or its bias is not strictly between 0 and 1 with
+            den <= 2**62.  The type is checked only off the one-comparison
+            path, so inside that range a look-alike with integer fields
+            draws as its ``Rational`` would.
         ValueError: den beyond the 2**62 limit (from
             ``check_denominator``).
     """
-    num = p.num
-    den = p.den
+    try:
+        num = p.num
+        den = p.den
+    except AttributeError:  # not a Rational: refused just below
+        num = den = 0
     if not 0 < num < den <= MAX_DENOMINATOR:  # one comparison per draw
         _need(Rational, p)
         check_denominator(den)

@@ -212,13 +212,14 @@ class BufferedWordSource(RandomBitSource):
     counts the bits put into the buffer, once per fill, and derives
     ``bits_consumed`` as those bits less the bits still unread.
 
-    ``core._fdr_shuffle`` reads an instance of exactly this class in
-    place, and relies on this layout: the unread bits are the low
-    ``_pos`` bits of ``_buf``, served most significant first, and only
-    ``next_bits`` fills.  So k <= ``_pos`` bits are read by lowering
-    ``_pos`` by k, and a reader that keeps the two in locals stores its
-    position back before it calls a method.  A subclass is shuffled by
-    ``core._fdr``'s draws, through its own methods.
+    ``core._fdr`` and ``core._fdr_shuffle`` read an instance of exactly
+    this class in place, and rely on this layout: the unread bits are
+    the low ``_pos`` bits of ``_buf``, served most significant first,
+    and only ``next_bits`` fills.  So k <= ``_pos`` bits are read by
+    lowering ``_pos`` by k, and a reader that keeps the two in locals
+    stores its position back before it calls a method.  A subclass is
+    read through its own ``next_bits``: each ``_fdr`` read is one call,
+    and a shuffle is one ``_fdr`` draw per size.
 
     Raises:
         TypeError: the argument is neither an int seed nor an object

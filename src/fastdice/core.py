@@ -32,35 +32,43 @@ drop the bit count, about 2% of its throughput.
 Each kernel owns its loop: a draw is read, and on a rejection recycled
 and read on, in the frame of the function that makes it, with no helper
 call per draw.  Most draws accept on their first read, so ``_fdr``
-answers that case before it sets up anything else: it reads
-c = source.next_bits(width) and returns (c, width) at once if c < n.
-That needs no check, since c < n <= 2**width < 2n holds by
-construction, and it stays a separate return: letting a first-read
-accept fall through the recycle loop's condition instead moved the
-median single draw of the draw benchmark from 0.66 to 0.71 us (Python
-3.11 on a shared 2-CPU host).  Only a rejected read goes on into the
-loop, which reads each recycle step with ``source.next_bits``.
+answers that case before it sets up anything else: it reads width
+flips as c and returns (c, width) at once if c < n.  That needs no
+check, since c < n <= 2**width < 2n holds by construction, and it stays
+a separate return: letting a first-read accept fall through the recycle
+loop's condition instead moved the median single draw of the draw
+benchmark from 0.66 to 0.71 us (Python 3.11 on a shared 2-CPU host).
+Only a rejected read goes on into the recycle loop.
+
+Both kernels split by source once, after their sizes are known.  Any
+source but an exact ``BufferedWordSource``, subclasses included (one
+may override ``next_bits``), is read through ``source.next_bits``:
+``_fdr`` reads its width and then each recycle step with a call each,
+and ``_fdr_shuffle`` makes one ``_fdr`` draw per size.  The exact type
+is read in place, in the kernel's frame: the buffer and its position are
+copied into locals, each read that fits is taken from them with the
+arithmetic of ``next_bits``'s in-buffer path, and the position is
+stored back before each refill through ``next_bits``, before each raise
+and before the return.  ``_fdr`` takes its first read that way, keeps
+the early return, and finishes a rejected read in an in-place copy of
+its loop.  Without the method call per read, the median single draw of
+the draw benchmark fell from 0.668 to 0.637 us, in 10 of 10 alternating
+pairs of runs (Python 3.11.7 on a shared 2-CPU host).
 
 ``_fdr_shuffle``, the Fisher-Yates shuffle, swaps each offset in as it
-draws it, so it builds no list of offsets.  It splits by source once,
-at entry.  Any source but an exact ``BufferedWordSource``, subclasses
-included (one may override ``next_bits``), is shuffled by one ``_fdr``
-draw per size.  The exact type is read in place, in one frame: the
-buffer and its position are copied into locals, each read that fits is
-taken from them with the arithmetic of ``next_bits``'s in-buffer path,
-and the position is stored back before each refill through
-``next_bits``, before each raise and before the return.  Each offset
-takes ``_fdr``'s first read and finishes a rejected one with its own
-copy of ``_fdr``'s loop.  The sizes fall by one per step, so the width
-steps down by one when the size reaches the next power of two below
-it, and no offset takes a ``bit_length``.  A shuffle of 52 then makes
-a method call per refill, not one per offset plus a helper call per
-rejection, and the p99.9 latency of the consumers benchmark, which is
-all shuffles, fell by about a fifth.  Sending the rejections to a
-shared helper instead, whether or not it also read in place, kept at
-most three fifths of that gain.
+draws it, so it builds no list of offsets.  On the exact type each
+offset takes ``_fdr``'s in-place first read and finishes a rejected one
+with its own copy of the in-place loop.  The sizes fall by one per
+step, so the width steps down by one when the size reaches the next
+power of two below it, and no offset takes a ``bit_length``.  A shuffle
+of 52 then makes a method call per refill, not one per offset plus a
+helper call per rejection, and the p99.9 latency of the consumers
+benchmark, which is all shuffles, fell by about a fifth.  Sending the
+rejections to a shared helper instead, whether or not it also read in
+place, kept at most three fifths of that gain, and one in-place
+``_fdr`` draw per size took a shuffle of 52 from 17 to 22 us.
 
-Both recycle loops end each step with the loop-invariant ``assert``,
+Every recycle loop ends each step with the loop-invariant ``assert``,
 so it checks every recycled state; a source that serves c >= 2**width
 trips it on the first recycle.  Under ``python -O`` it is stripped, and
 no input guard rests on it.
@@ -138,8 +146,9 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
     """Draw uniformly from {0, ..., n-1} using optimally few random bits.
 
     Args:
-        source: bit source; read through ``next_bits``, only as many
-            bits as the draw's decisions need.
+        source: bit source; read only as many bits as the draw's
+            decisions need, through ``next_bits``, or in place if it is
+            exactly a ``BufferedWordSource`` (see the module docstring).
         n: number of outcomes, 1 <= n <= 2**62.
 
     Returns:
@@ -158,7 +167,12 @@ def fdr_uniform(source: RandomBitSource, n: int) -> FdrOutcome:
 
 
 def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
-    """``fdr_uniform`` as a plain (value, bits_used) tuple."""
+    """``fdr_uniform`` as a plain (value, bits_used) tuple.
+
+    Reads an exact ``BufferedWordSource`` in place, and any other source,
+    subclasses included, through ``next_bits``: the same bits either way
+    (see the module docstring).
+    """
     try:
         if not 1 < n <= MAX_UNIFORM_RANGE:  # one comparison on the hot path
             check_range(n)
@@ -166,6 +180,42 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
         width = (n - 1).bit_length()
     except (AttributeError, TypeError):  # not an int: its index, or refuse
         return _fdr(source, check_range(n))
+
+    if type(source) is BufferedWordSource:  # not a subclass
+        pos = source._pos
+        if width <= pos:  # next_bits's in-buffer read, in this frame
+            source._pos = pos = pos - width
+            c = source._buf >> pos & _LOW_MASKS[width]
+        else:
+            c = source.next_bits(width)
+        if c < n:  # as below
+            return c, width
+        buf, pos = source._buf, source._pos
+        masks = _LOW_MASKS
+        bits = width
+        v = 1 << width
+        while c >= n:  # the loop below, reading in place
+            if bits > _MAX_FLIPS:
+                source._pos = pos
+                raise FastdiceError(f"no value for n={n} after {bits} "
+                                    "flips: the bit source looks stuck")
+            v -= n
+            c -= n
+            j = width - v.bit_length()
+            if v << j < n:
+                j += 1
+            v <<= j
+            if j <= pos:
+                pos -= j
+                c = c << j | buf >> pos & masks[j]
+            else:
+                source._pos = pos
+                c = c << j | source.next_bits(j)
+                buf, pos = source._buf, source._pos
+            bits += j
+            assert c < v and n <= v < (n << 1)  # as below
+        source._pos = pos
+        return c, bits
 
     c = source.next_bits(width)
     if c < n:  # accepted on the first read: c < n <= 2**width < 2n

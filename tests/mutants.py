@@ -39,28 +39,56 @@ TIMEOUT = 120  # seconds per row
 FDR = "tests/test_fdr.py::"
 PERM = "tests/test_permutation.py::"
 MUTANTS = [
-    # The flip cap: raise one step early, or far too soon.
+    # The flip cap: raise one step early, through next_bits or in
+    # place, or far too soon.
     ("src/fastdice/core.py",
      "if bits > _MAX_FLIPS:\n            raise",
      "if bits >= _MAX_FLIPS:\n            raise",
+     FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
+    ("src/fastdice/core.py",
+     "if bits > _MAX_FLIPS:\n                source._pos = pos",
+     "if bits >= _MAX_FLIPS:\n                source._pos = pos",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
     ("src/fastdice/core.py", "_MAX_FLIPS = 1024", "_MAX_FLIPS = 96",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
     # The first read's accept mirrored, n - 1 - c: still uniform on the
     # same flips, so only a reference that draws apart from ``_fdr``
-    # sees it.
-    ("src/fastdice/core.py", "return c, width", "return n - 1 - c, width",
+    # sees it, or a trace.  In place, and through next_bits.
+    ("src/fastdice/core.py", "return c, width\n        buf",
+     "return n - 1 - c, width\n        buf",
      "tests/test_differential.py::test_permutation_routes_match_reference"
      "[unranked]"),
+    ("src/fastdice/core.py", "return c, width\n    bits",
+     "return n - 1 - c, width\n    bits",
+     FDR + "test_kernels_read_width_then_each_recycle_step"),
     # The first read one flip too wide, which a power of two shows.
     ("src/fastdice/core.py",
      "width = (n - 1).bit_length()\n    except",
      "width = n.bit_length()\n    except",
      FDR + "test_trace_n4_binary_digits"),
-    # A recycle step that reads one flip too many.
+    # A recycle step that reads one flip too many, through next_bits or
+    # in place.
     ("src/fastdice/core.py", "j = width - v.bit_length()\n        if",
      "j = width - v.bit_length() + 1\n        if",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
+    ("src/fastdice/core.py", "j = width - v.bit_length()\n            if",
+     "j = width - v.bit_length() + 1\n            if",
+     FDR + "test_in_place_draws_have_the_tree_of_next_bits"),
+    # The single draw reading a subclass's buffer in place, past its own
+    # next_bits.
+    ("src/fastdice/core.py", "if type(source) is BufferedWordSource:",
+     "if isinstance(source, BufferedWordSource):",
+     FDR + "test_a_subclass_sees_every_read_of_fdr"),
+    # The single draw's buffer position left unstored: at the return,
+    # before a refill in a recycle step, or before the cap's raise.
+    ("src/fastdice/core.py", "source._pos = pos\n        return c, bits",
+     "return c, bits", FDR + "test_in_place_draws_have_the_tree_of_next_bits"),
+    ("src/fastdice/core.py",
+     "source._pos = pos\n                c = c << j | source.next_bits(j)",
+     "c = c << j | source.next_bits(j)",
+     FDR + "test_in_place_draws_have_the_tree_of_next_bits"),
+    ("src/fastdice/core.py", "source._pos = pos\n                raise",
+     "raise", FDR + "test_a_capped_draw_raises_as_next_bits"),
     # A batch taking a look-alike plan, whose fields were never checked.
     ("src/fastdice/batch.py", "    _need(BatchPlan, plan)\n", "",
      "tests/test_batch.py::test_batch_refuses_lookalike_plans"),

@@ -104,12 +104,16 @@ def test_check_denominator_refuses_below_one(den):
                                SimpleNamespace(num=7, den=-3),
                                SimpleNamespace(num=-1, den=3),
                                SimpleNamespace(num=5, den=3),
-                               SimpleNamespace(num=1, den=0)],
-                         ids=["0/0", "7/-3", "-1/3", "5/3", "1/0"])
+                               SimpleNamespace(num=1, den=0),
+                               (1, 3), SimpleNamespace(num=1), object(),
+                               0.5],
+                         ids=["0/0", "7/-3", "-1/3", "5/3", "1/0", "tuple",
+                              "no-den", "object", "float"])
 def test_degenerate_branch_refuses_lookalikes(p):
     # None is a bias in [0, 1]; as look-alikes of Rational they never
-    # met its check.  The degenerate branch refuses them by type, and so
-    # do the expansion and nu, before they read a field.
+    # met its check, and the last four lack a field.  The degenerate
+    # branch refuses them by type, and so do the expansion and nu,
+    # before they read a field.
     src = BufferedWordSource(0)
     for call in (lambda: bernoulli_rational(src, p),
                  lambda: binary_expansion(p, 4), lambda: nu(p),

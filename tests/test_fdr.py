@@ -107,10 +107,11 @@ def test_recycle_step_checks_the_loop_invariant(kernel):
 ], ids=["fdr_uniform", "fdr_uniform_5", "fdr_uniform_range", "fisher_yates",
         "batch_uniform", "random_permutation_unranked"])
 def test_a_stuck_generator_raises_instead_of_hanging(word, call, flips):
-    src = BufferedWordSource(Words(word))
-    with deadline(5), pytest.raises(FastdiceError, match="looks stuck"):
-        call(src)
-    assert src.bits_consumed() == flips
+    # The exact type is read in place; a subclass through next_bits.
+    for src in (BufferedWordSource(Words(word)), _RecordingWords(Words(word))):
+        with deadline(5), pytest.raises(FastdiceError, match="looks stuck"):
+            call(src)
+        assert src.bits_consumed() == flips
 
 
 def test_a_first_read_accept_runs_no_cap_check(monkeypatch):
@@ -193,14 +194,24 @@ def single_draws(source, t):
     return t
 
 
-def ending(shuffle, source, n, error):
-    """(the shuffle of 0..n-1, or the message of the ``error`` it
-    raised, and the source's state after it)."""
+def ending(call, source, error):
+    """(what ``call(source)`` returned, or the message of the ``error``
+    it raised, and the source's state after it)."""
     try:
-        got = shuffle(source, [*range(n)])
+        got = call(source)
     except error as exc:
         got = str(exc)
     return got, state(source)
+
+
+def shuffled(shuffle, n):
+    """A call that shuffles 0..n-1 with ``shuffle``."""
+    return lambda source: shuffle(source, [*range(n)])
+
+
+def drawn(ns):
+    """A call that makes one ``_fdr`` draw on each size in turn."""
+    return lambda source: [_fdr(source, m) for m in ns]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 17, 52, 129])
@@ -221,19 +232,20 @@ def test_a_word_script_that_runs_out_mid_shuffle_raises_as_single_draws():
     # Each word is 32 flips, and a few are read before the shuffle, so
     # the scripts run out on the first read, on a refill between reads
     # and on one inside a recycle step; each raise must leave the
-    # counters where the single draws leave them.
+    # counters where the single draws leave them.  The single draws run
+    # on a subclass, so they read through next_bits.
     rng = random.Random(5)
     exhausted = finished = 0
     for _ in range(300):
         n = rng.randint(2, 70)
         words = [rng.getrandbits(32) for _ in range(rng.randint(1, 10))]
         src, twin = (BufferedWordSource(ScriptedWords(words)),
-                     BufferedWordSource(ScriptedWords(words)))
+                     _RecordingWords(ScriptedWords(words)))
         skip = rng.randint(0, 31)
         src.next_bits(skip)
         twin.next_bits(skip)
-        got = ending(_fdr_shuffle, src, n, ScriptExhausted)
-        assert got == ending(single_draws, twin, n, ScriptExhausted)
+        got = ending(shuffled(_fdr_shuffle, n), src, ScriptExhausted)
+        assert got == ending(shuffled(single_draws, n), twin, ScriptExhausted)
         exhausted += type(got[0]) is str
         finished += type(got[0]) is list
     assert exhausted > 50 and finished > 50
@@ -242,17 +254,109 @@ def test_a_word_script_that_runs_out_mid_shuffle_raises_as_single_draws():
 def test_a_capped_shuffle_raises_as_single_draws(monkeypatch):
     # With the cap at 5 flips, about half the shuffles of 20 meet a
     # draw that passes it, at any point of the buffer; the raise must
-    # carry the single draws' message and leave the source where they
-    # leave it.
+    # carry the message of the single draws, read through next_bits,
+    # and leave the source where they leave it.
     monkeypatch.setattr(core, "_MAX_FLIPS", 5)
     raised = 0
     for seed in range(100):
-        got = ending(_fdr_shuffle, BufferedWordSource(seed), 20,
+        got = ending(shuffled(_fdr_shuffle, 20), BufferedWordSource(seed),
                      FastdiceError)
-        assert got == ending(single_draws, BufferedWordSource(seed), 20,
-                             FastdiceError)
+        assert got == ending(shuffled(single_draws, 20),
+                             _RecordingWords(seed), FastdiceError)
         raised += type(got[0]) is str
     assert 20 < raised < 80
+
+
+def sizes(rng, count):
+    """``count`` sizes in [2, 2**62], their bit lengths spread over the
+    whole range."""
+    return [rng.randint(2, 1 << rng.randint(1, 62)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_subclass_sees_every_read_of_fdr(seed):
+    # Only the exact BufferedWordSource is read in place.  A subclass
+    # that overrides next_bits is asked for every read of _fdr, of the
+    # widths a scripted source of the same stream is asked for.  An
+    # exact twin, read in place, draws the same values and ends in the
+    # same state.
+    stream = BufferedWordSource(seed)
+    script = _Recording([stream.next_bit() for _ in range(40_000)])
+    sub, twin = _RecordingWords(seed), BufferedWordSource(seed)
+    rng = random.Random(seed)
+    for m in sizes(rng, 300) + [rng.randint(2, 40) for _ in range(300)]:
+        assert _fdr(sub, m) == _fdr(twin, m) == _fdr(script, m)
+    assert sub.reads == script.reads
+    assert state(sub) == state(twin)
+    assert sub.bits_consumed() == script.bits_consumed()
+
+
+def test_a_word_script_that_runs_out_mid_draw_raises_as_next_bits():
+    # As for the shuffle: scripts that run out on a first read, on a
+    # refill between draws and inside a recycle step leave the exact
+    # type where a subclass, read through next_bits, is left.
+    rng = random.Random(9)
+    exhausted = finished = 0
+    for _ in range(300):
+        draws = drawn(sizes(rng, rng.randint(1, 6)))
+        words = [rng.getrandbits(32) for _ in range(rng.randint(1, 10))]
+        src, twin = (BufferedWordSource(ScriptedWords(words)),
+                     _RecordingWords(ScriptedWords(words)))
+        skip = rng.randint(0, 31)
+        src.next_bits(skip)
+        twin.next_bits(skip)
+        got = ending(draws, src, ScriptExhausted)
+        assert got == ending(draws, twin, ScriptExhausted)
+        exhausted += type(got[0]) is str
+        finished += type(got[0]) is list
+    assert exhausted > 50 and finished > 50
+
+
+def test_a_capped_draw_raises_as_next_bits(monkeypatch):
+    # With the cap at 5 flips, draws on small sizes raise at a rejection
+    # past it, at any point of the buffer, with the message and the
+    # state that reading through next_bits gives.
+    monkeypatch.setattr(core, "_MAX_FLIPS", 5)
+    rng = random.Random(3)
+    raised = 0
+    for seed in range(100):
+        draws = drawn([rng.randint(2, 40) for _ in range(8)])
+        got = ending(draws, BufferedWordSource(seed), FastdiceError)
+        assert got == ending(draws, _RecordingWords(seed), FastdiceError)
+        raised += type(got[0]) is str
+    assert 20 < raised < 80
+
+
+@pytest.mark.parametrize("n", [*range(2, 13), 17, 33, 100])
+def test_in_place_draws_have_the_tree_of_next_bits(n):
+    # _fdr on an exact BufferedWordSource, read in place, has the tree
+    # of the draws read through next_bits: the same leaves, values,
+    # flips and open prefixes.  With nothing preloaded every read
+    # refills; with 5 flips the buffer runs dry inside a draw; with the
+    # whole script every read is taken from the buffer.
+    def draw(source):
+        return _fdr(source, n)
+    want = walk(draw, 40)
+    for preload in (0, 5, 40):
+        assert walk(in_place(draw, preload), 40) == want
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_flip_cap_walks_the_same_in_place(n, monkeypatch):
+    # With the cap at 8 flips, the in-place recycle loop raises at the
+    # same flips as the loop through next_bits, and returns the same
+    # draws everywhere else.
+    monkeypatch.setattr(core, "_MAX_FLIPS", 8)
+    draw = returning_errors(lambda s: _fdr(s, n))
+
+    def seen(tree):
+        leaves, open_ = tree
+        return {p: repr(got) for p, got in leaves.items()}, open_
+    want = seen(walk(draw, 64))
+    assert want[1] == [] and any("looks stuck" in got
+                                 for got in want[0].values())
+    for preload in (0, 5, 64):
+        assert seen(walk(in_place(draw, preload), 64)) == want
 
 
 @pytest.mark.parametrize("n, depth", [
