@@ -8,9 +8,12 @@ two in n, period = the multiplicative order of 2 modulo the odd part m),
 each series has an exact rational value, which this module computes in
 one closed form for both.  That period can be about m steps long, so the
 float-returning functions take another route: they truncate the series
-to about m.bit_length() + 72 terms, sum those in closed form too (one
-division and a weighted bit sum, no loop over the terms), and return the
-double only once the tail bound certifies that it is correctly rounded.
+to m.bit_length() + 64 terms, sum those in closed form too (one division
+and a weighted bit sum, no loop over the terms), and return the double
+only once the tail bound certifies that it is correctly rounded.  For
+u(n) the scale of that sum is a power of two, so the certificate rounds
+its two integer bounds with float() and scales by ldexp, both exact
+steps; nu divides by its denominator instead.
 On top of that sit the toll t(n) = u(n) - log2(n) in [0, 2], the
 per-value cost of batched draws u(n**j)/j, and the smooth approximation
 log2(n) + constant + P(log2 n), whose Fourier fluctuation P needs the
@@ -20,7 +23,8 @@ coefficients are computed once per K into one cached table,
 _fluctuation_terms, which every evaluation of P reads.  One row of
 the cost table, cost_breakdown(n), holds n, u(n), log2(n), the toll and
 the smooth approximation, each the same double its own function
-returns; the row validates n once and takes its log2 once.
+returns; the row validates n once, takes its log2 once, and sums P
+through the same private loop as asymptotic_cost.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ from .errors import PoleAtOne, _at_least, _need
 
 LN2 = math.log(2.0)
 EULER_GAMMA = 0.5772156649015329
+# Integers below this convert to doubles with room to spare: the largest
+# finite double is just under 2**1024.
+_FLOAT_SAFE = 1 << 1000
 
 
 def _split_power_of_two(n: int) -> tuple[int, int]:
@@ -109,27 +116,41 @@ def _horner(r: int, mod: int, terms: int) -> int:
 
 def _series_double(r: int, mod: int, den: int, terms: int) -> float:
     """sum of (r * 2**k mod mod) / (den * 2**k) over all k >= 0, correctly
-    rounded to a double.
+    rounded to a double, for 1 <= r < mod.
 
     With acc = _horner(r, mod, terms) and scale = den * 2**(terms-1), the
     sum lies in [acc/scale, (acc+mod)/scale).  Rounding is monotone, so
-    once both ends round to the same double (int true division rounds
-    correctly) the sum does too; otherwise 64 more terms are taken.
+    once both ends round to the same double the sum does too; otherwise
+    64 more terms are taken.  When den is 1 and acc + mod is below
+    2**1000, the ends are rounded by float(), and the double scaled by
+    ldexp: int to float rounds correctly, and scaling a normal double by
+    a power of two is exact.  Otherwise (nu, or an n past about 900
+    bits) int true division rounds each end correctly.  Either way the
+    certificate is as precise as the integers, so it grows with terms.
     Each pass is a few big-int operations on numbers of about terms bits,
     plus one mask pass per bit of terms; none depends on the period of
     2 mod mod.
 
-    Callers start at mod.bit_length() + 72 terms.  The tail is then
-    below 2**-71 / den, and the sum is at least its first term
-    r/den >= 1/den: 18 bits past a double's 53, so a first pass fails
-    only within about 2**-18 ulp of a rounding boundary.
+    Callers start at mod.bit_length() + 64 terms.  The tail is then
+    below 2**-63 / den, and the sum is at least its first term
+    r/den >= 1/den: 10 bits past a double's 53, so a first pass fails
+    only within about 2**-10 ulp of a rounding boundary (6 of the
+    99,999 odd mod below 2 * 10**5 for u).  For r = 1 the digit integer
+    F in _horner is then below 2**64, so its weighted bit sum takes 6
+    mask passes.
     """
     while True:
         acc = _horner(r, mod, terms)
-        scale = den << (terms - 1)
-        low = acc / scale
-        if low == (acc + mod) / scale:
-            return low
+        high = acc + mod
+        if den == 1 and high < _FLOAT_SAFE:
+            low = float(acc)
+            if low == float(high):
+                return math.ldexp(low, 1 - terms)
+        else:
+            scale = den << (terms - 1)
+            low = acc / scale
+            if low == high / scale:
+                return low
         terms += 64
 
 
@@ -196,9 +217,10 @@ def exact_cost(n: int) -> float:
     """Expected bits of the exact uniform sampler on n values, as a double.
 
     For n = 2**a * m with m odd, returns a + (the odd part's series,
-    correctly rounded).  The series is summed to about
-    m.bit_length() + 72 terms and certified against its tail bound, so
-    the time depends on the bit length of n, not on the period of 2 mod m.
+    correctly rounded).  The series is summed to m.bit_length() + 64
+    terms and certified against its tail bound, with 64 more terms in
+    the rare case it cannot be, so the time depends on the bit length of
+    n, not on the period of 2 mod m.
 
     Raises:
         TypeError: n is not an integer.
@@ -212,15 +234,20 @@ def _exact_cost(n: int) -> float:
     a, m = _split_power_of_two(n)
     if m == 1:
         return float(a)
-    return a + _series_double(1, m, 1, m.bit_length() + 72)
+    return a + _series_double(1, m, 1, m.bit_length() + 64)
 
 
 def toll(n: int) -> float:
     """Bits paid beyond the entropy floor: u(n) - log2(n), in [0, 2].
 
     Exactly zero when n is a power of two.
+
+    Raises:
+        TypeError: n is not an integer.
+        ValueError: n < 1.
     """
-    return exact_cost(n) - math.log2(n)
+    n = _at_least("n", n, 1)
+    return _exact_cost(n) - math.log2(n)
 
 
 def batch_cost(n: int, j: int) -> float:
@@ -233,7 +260,8 @@ def batch_cost(n: int, j: int) -> float:
         ValueError: n < 2 or j < 1.
         Overflow: n**j > 2**62 (the sampler could not run the batch).
     """
-    return _exact_cost(plan_batch(n, j).n_pow_j) / j
+    plan = plan_batch(n, j)
+    return _exact_cost(plan.n_pow_j) / plan.j
 
 
 def _lowest_terms(p: Rational) -> tuple[int, int]:
@@ -266,9 +294,10 @@ def nu(p: Rational) -> float:
     """nu(p) as a double, correctly rounded.
 
     A dyadic p is computed exactly.  Otherwise the series of
-    frac(2**k * p) / 2**k is summed to about den.bit_length() + 72 terms
-    and certified against its tail bound, like exact_cost, so the time
-    depends on the bit length of the denominator, not on its period.
+    frac(2**k * p) / 2**k is summed to den.bit_length() + 64 terms and
+    certified against its tail bound, like exact_cost but by true
+    division, so the time depends on the bit length of the denominator,
+    not on its period.
 
     Raises:
         TypeError: p is not a ``Rational``.
@@ -277,7 +306,7 @@ def nu(p: Rational) -> float:
     r, den = _lowest_terms(p)
     if _split_power_of_two(den)[1] == 1:
         return float(_series_exact(r, den, den))
-    return _series_double(r, den, den, den.bit_length() + 72)
+    return _series_double(r, den, den, den.bit_length() + 64)
 
 
 # ---------------------------------------------------------------------------
@@ -412,17 +441,19 @@ def periodic_fluctuation(log2n: float, k_terms: int = 12) -> float:
         raise ValueError("log2n is too large for a double") from None
     if not finite:
         raise ValueError(f"need a finite log2n, got {log2n}")
+    return _fluctuation(frac, k_terms)
+
+
+def _fluctuation(frac: float, k_terms: int) -> float:
+    """P at frac = log2n % 1.0 for a finite log2n the caller has taken:
+    the sum behind periodic_fluctuation, which asymptotic_cost and
+    cost_breakdown call directly."""
     total = 0.0
     cos, sin = math.cos, math.sin
     for omega, re2, im2 in _fluctuation_terms(k_terms):
         theta = omega * frac
         total += re2 * cos(theta) + im2 * sin(theta)
     return -total / LN2
-
-
-def _asymptotic(log2n: float, k_terms: int) -> float:
-    """log2n + constant + P(log2n), for a log2n the caller has taken."""
-    return log2n + _CONSTANT + periodic_fluctuation(log2n, k_terms)
 
 
 def asymptotic_cost(n: int, k_terms: int = 12) -> float:
@@ -437,7 +468,8 @@ def asymptotic_cost(n: int, k_terms: int = 12) -> float:
         TypeError: n or k_terms is not an integer.
         ValueError: n < 2, k_terms < 1, or k_terms too large to certify.
     """
-    return _asymptotic(math.log2(_at_least("n", n, 2)), k_terms)
+    log2n = math.log2(_at_least("n", n, 2))
+    return log2n + _CONSTANT + _fluctuation(log2n % 1.0, k_terms)
 
 
 class CostBreakdown(NamedTuple):
@@ -473,5 +505,5 @@ def cost_breakdown(n: int, k_terms: int = 12) -> CostBreakdown:
         _at_least("k_terms", k_terms, 1)
         asym = None
     else:
-        asym = _asymptotic(log2n, k_terms)
+        asym = log2n + _CONSTANT + _fluctuation(log2n % 1.0, k_terms)
     return tuple.__new__(CostBreakdown, (n, u, log2n, u - log2n, asym))

@@ -189,6 +189,29 @@ MUTANTS = [
     ("src/fastdice/cost.py", "for t, m in build(levels):",
      "for t, m in build(min(levels, 16)):",
      "tests/test_differential.py::test_weighted_bit_sum_matches_reference"),
+    # The float certificate trusting an upper bound one unit above its
+    # lower end, not the tail bound: u(8315) rounds one ulp low.
+    ("src/fastdice/cost.py", "if low == float(high):",
+     "if low == float(acc + 1):",
+     "tests/test_cost.py::test_second_pass_lands_on_the_exact_double"),
+    # The certified double scaled by 2**-terms, not 2**(1-terms).
+    ("src/fastdice/cost.py", "math.ldexp(low, 1 - terms)",
+     "math.ldexp(low, -terms)",
+     "tests/test_cost.py::test_float_route_matches_rational"),
+    # The float certificate taken past the largest double: 3**700.
+    ("src/fastdice/cost.py", "if den == 1 and high < _FLOAT_SAFE:",
+     "if den == 1:", "tests/test_cost.py::test_huge_n_stays_finite"),
+    # u's series started 8 terms longer, as before: a 7-level bit sum.
+    ("src/fastdice/cost.py", "_series_double(1, m, 1, m.bit_length() + 64)",
+     "_series_double(1, m, 1, m.bit_length() + 72)",
+     "tests/test_cost.py::test_first_pass_certifies_with_64_bit_digits"),
+    # toll taking log2 of the raw n, and batch_cost dividing by the raw j.
+    ("src/fastdice/cost.py",
+     'n = _at_least("n", n, 1)\n    return _exact_cost(n) - math.log2(n)',
+     "return exact_cost(n) - math.log2(n)",
+     "tests/test_cost.py::test_toll_validates_once"),
+    ("src/fastdice/cost.py", "/ plan.j", "/ j",
+     "tests/test_cost.py::test_batch_cost_takes_index_integers"),
     # The remainder bound's Pochhammer product one factor short.
     ("src/fastdice/cost.py", "for i in range(two_r + 1))",
      "for i in range(two_r))",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -118,6 +119,46 @@ def test_certification_extends_the_series(monkeypatch):
     assert len(calls) > 1
 
 
+def test_first_pass_certifies_with_64_bit_digits(monkeypatch):
+    # exact_cost starts at m.bit_length() + 64 terms, so the digit
+    # integer F = floor(2**(terms-1) / m) of its first pass stays below
+    # 2**64 (6 mask levels), and that pass certifies for every n here
+    # but the two whose odd part is 8315
+    digits = []
+    horner = cost_module._horner
+
+    def counting(r, mod, terms):
+        digits.append((r << terms - 1) // mod)
+        return horner(r, mod, terms)
+    monkeypatch.setattr(cost_module, "_horner", counting)
+    rng = random.Random(1304)
+    wide = [rng.randrange(2 ** 40, 2 ** 62) for _ in range(300)]
+    retried = []
+    for n in list(range(2, 20001)) + wide:
+        digits.clear()
+        exact_cost(n)
+        if digits:  # n is not a power of two
+            assert digits[0].bit_length() <= 64, n
+        if len(digits) > 1:
+            retried.append(n)
+    assert retried == [8315, 16630]
+
+
+# Every odd m below 2 * 10**5 whose series needs a second pass from
+# m.bit_length() + 64 terms.
+SECOND_PASS = (8315, 27475, 49009, 91487, 132535, 146585)
+
+
+def test_second_pass_lands_on_the_exact_double():
+    # for 8315 and 132535 the first pass's lower end rounds to the double
+    # below the exact one, so a certificate with too low an upper bound
+    # would return it
+    for m in SECOND_PASS:
+        for n in (m, 2 * m):
+            assert exact_cost(n) == rounded_cost(n), n
+        assert nu(Rational(1, m)) == float(cached_rational(m) / m)
+
+
 def test_doubling_identity():
     # u(2n) = u(n) + 1, exactly in rationals
     for n in range(1, 300):
@@ -137,6 +178,16 @@ def test_toll_zero_at_powers_of_two():
 def test_toll_of_three():
     assert toll(3) == pytest.approx(8 / 3 - math.log2(3), abs=1e-12)
     assert toll(3) == pytest.approx(1.0817041659455104, abs=1e-12)
+
+
+def test_toll_validates_once():
+    # an __index__ integer is validated once and its int used for both
+    # terms, even past the largest double
+    for n in (3, 1024, 3 ** 700):
+        assert toll(Index(n)) == toll(n) == exact_cost(n) - math.log2(n)
+    for n, error in ((0, ValueError), (2.0, TypeError), ("3", TypeError)):
+        with pytest.raises(error):
+            toll(n)
 
 
 def test_toll_bounds():
@@ -169,6 +220,12 @@ def test_batch_cost_errors():
         batch_cost(3, 0)
 
 
+def test_batch_cost_takes_index_integers():
+    # j is divided out as the validated plan's int, like n
+    assert batch_cost(6, Index(2)) == batch_cost(Index(6), 2) \
+        == batch_cost(6, 2) == exact_cost(36) / 2
+
+
 def test_batch_toll_bound():
     # the per-value toll shrinks like 2/j
     for n in (3, 5, 10):
@@ -178,7 +235,7 @@ def test_batch_toll_bound():
 
 def test_batch_cost_huge_exponent():
     # 3**39 fits under 2**62 but its period is astronomically long; the
-    # float route sums about 134 terms whatever the period
+    # float route sums about 126 terms whatever the period
     val = batch_cost(3, 39)
     assert math.log2(3) < val < math.log2(3) + 2 / 39
 
