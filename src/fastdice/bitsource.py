@@ -218,8 +218,8 @@ class BufferedWordSource(RandomBitSource):
     and only ``next_bits`` fills.  So k <= ``_pos`` bits are read by
     lowering ``_pos`` by k, and a reader that keeps the two in locals
     stores its position back before it calls a method.  A subclass is
-    read through its own ``next_bits``: each ``_fdr`` read is one call,
-    and a shuffle is one ``_fdr`` draw per size.
+    read as an empty buffer, through its own ``next_bits``: each read of
+    either kernel is one call, and nothing is stored on it.
 
     Raises:
         TypeError: the argument is neither an int seed nor an object

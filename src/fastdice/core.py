@@ -40,35 +40,38 @@ loop's condition instead moved the median single draw of the draw
 benchmark from 0.66 to 0.71 us (Python 3.11 on a shared 2-CPU host).
 Only a rejected read goes on into the recycle loop.
 
-Both kernels split by source once, after their sizes are known.  Any
-source but an exact ``BufferedWordSource``, subclasses included (one
-may override ``next_bits``), is read through ``source.next_bits``:
-``_fdr`` reads its width and then each recycle step with a call each,
-and ``_fdr_shuffle`` makes one ``_fdr`` draw per size.  The exact type
-is read in place, in the kernel's frame: the buffer and its position are
-copied into locals, each read that fits is taken from them with the
-arithmetic of ``next_bits``'s in-buffer path, and the position is
-stored back before each refill through ``next_bits``, before each raise
-and before the return.  ``_fdr`` takes its first read that way, keeps
-the early return, and finishes a rejected read in an in-place copy of
-its loop.  Without the method call per read, the median single draw of
-the draw benchmark fell from 0.668 to 0.637 us, in 10 of 10 alternating
-pairs of runs (Python 3.11.7 on a shared 2-CPU host).
+Both kernels read every source through one loop each, split only by
+where the buffer comes from.  An exact ``BufferedWordSource`` is read
+in place, in the kernel's frame: the buffer and its position are copied
+into locals, each read that fits is taken from them with the arithmetic
+of ``next_bits``'s in-buffer path, and the position is stored back
+before each refill through ``next_bits``, before each raise and before
+the return.  Any other source, subclasses included (one may override
+``next_bits``), is read as ``_EMPTY_BUFFER``, a stand-in with nothing
+unread: no read fits, so each one, the first and each recycle step, is a
+``source.next_bits`` call of its width, in order, and the stores land on
+the stand-in, never on the caller's source.  ``_fdr`` takes the exact
+type's first read in its own branch, with the early return: without the
+method call per read, the median single draw of the draw benchmark fell
+from 0.668 to 0.637 us, in 10 of 10 alternating pairs of runs, and
+sending that read through the stand-in as well made it 2.7% slower
+again, in 5 of 6 pairs (Python 3.11.7 on a shared 2-CPU host).
 
 ``_fdr_shuffle``, the Fisher-Yates shuffle, swaps each offset in as it
-draws it, so it builds no list of offsets.  On the exact type each
-offset takes ``_fdr``'s in-place first read and finishes a rejected one
-with its own copy of the in-place loop.  The sizes fall by one per
-step, so the width steps down by one when the size reaches the next
-power of two below it, and no offset takes a ``bit_length``.  A shuffle
-of 52 then makes a method call per refill, not one per offset plus a
-helper call per rejection, and the p99.9 latency of the consumers
+draws it, so it builds no list of offsets.  Each offset takes ``_fdr``'s
+first read, in place, and finishes a rejected one with its own copy of
+the recycle loop; it reads the same bits, by the same ``next_bits``
+calls, as one ``_fdr`` draw per size.  The sizes fall by one per step,
+so the width steps down by one when the size reaches the next power of
+two below it, and no offset takes a ``bit_length``.  A shuffle of 52 on
+the exact type then makes a method call per refill, not one per offset
+plus a helper call per rejection, and the p99.9 latency of the consumers
 benchmark, which is all shuffles, fell by about a fifth.  Sending the
 rejections to a shared helper instead, whether or not it also read in
-place, kept at most three fifths of that gain, and one in-place
-``_fdr`` draw per size took a shuffle of 52 from 17 to 22 us.
+place, kept at most three fifths of that gain, and one in-place ``_fdr``
+draw per size took a shuffle of 52 from 17 to 22 us.
 
-Every recycle loop ends each step with the loop-invariant ``assert``,
+Both recycle loops end each step with the loop-invariant ``assert``,
 so it checks every recycled state; a source that serves c >= 2**width
 trips it on the first recycle.  Under ``python -O`` it is stripped, and
 no input guard rests on it.
@@ -113,6 +116,19 @@ MAX_UNIFORM_RANGE = 1 << 62
 # A draw still rejected after this many flips raises instead of reading
 # on; a fair source gets that far with probability below 2**-962.
 _MAX_FLIPS = 1024
+
+
+class _EmptyBuffer:
+    """What the kernels read in place for a source that is not exactly a
+    ``BufferedWordSource``: a buffer with nothing unread, so each first
+    read and each recycle step goes to that source's ``next_bits``, and
+    no store lands on the source.  The kernels only ever store back the
+    0 they loaded, so one shared instance serves every call."""
+
+    _buf = _pos = 0
+
+
+_EMPTY_BUFFER = _EmptyBuffer()
 
 
 def check_range(n: int) -> int:
@@ -170,8 +186,8 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
     """``fdr_uniform`` as a plain (value, bits_used) tuple.
 
     Reads an exact ``BufferedWordSource`` in place, and any other source,
-    subclasses included, through ``next_bits``: the same bits either way
-    (see the module docstring).
+    subclasses included, as an empty buffer, through ``next_bits`` alone:
+    the same bits either way (see the module docstring).
     """
     try:
         if not 1 < n <= MAX_UNIFORM_RANGE:  # one comparison on the hot path
@@ -188,42 +204,21 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
             c = source._buf >> pos & _LOW_MASKS[width]
         else:
             c = source.next_bits(width)
-        if c < n:  # as below
+        if c < n:  # accepted on the first read: c < n <= 2**width < 2n
             return c, width
-        buf, pos = source._buf, source._pos
-        masks = _LOW_MASKS
-        bits = width
-        v = 1 << width
-        while c >= n:  # the loop below, reading in place
-            if bits > _MAX_FLIPS:
-                source._pos = pos
-                raise FastdiceError(f"no value for n={n} after {bits} "
-                                    "flips: the bit source looks stuck")
-            v -= n
-            c -= n
-            j = width - v.bit_length()
-            if v << j < n:
-                j += 1
-            v <<= j
-            if j <= pos:
-                pos -= j
-                c = c << j | buf >> pos & masks[j]
-            else:
-                source._pos = pos
-                c = c << j | source.next_bits(j)
-                buf, pos = source._buf, source._pos
-            bits += j
-            assert c < v and n <= v < (n << 1)  # as below
-        source._pos = pos
-        return c, bits
-
-    c = source.next_bits(width)
-    if c < n:  # accepted on the first read: c < n <= 2**width < 2n
-        return c, width
+        held = source
+    else:
+        c = source.next_bits(width)
+        if c < n:  # as above
+            return c, width
+        held = _EMPTY_BUFFER
+    buf, pos = held._buf, held._pos
+    masks = _LOW_MASKS
     bits = width
     v = 1 << width  # size of the range c is uniform on; n <= v < 2n
     while c >= n:
         if bits > _MAX_FLIPS:
+            held._pos = pos
             raise FastdiceError(f"no value for n={n} after {bits} flips: "
                                 "the bit source looks stuck")
         # c landed in the rejection band [n, v): recycle it as a uniform
@@ -235,9 +230,16 @@ def _fdr(source: RandomBitSource, n: int) -> tuple[int, int]:
         if v << j < n:
             j += 1
         v <<= j
-        c = c << j | source.next_bits(j)
+        if j <= pos:
+            pos -= j
+            c = c << j | buf >> pos & masks[j]
+        else:
+            held._pos = pos
+            c = c << j | source.next_bits(j)
+            buf, pos = held._buf, held._pos
         bits += j
         assert c < v and n <= v < (n << 1)  # loop invariant; stripped under -O
+    held._pos = pos
     return c, bits
 
 
@@ -246,16 +248,12 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
     t[i] with t[i + d], d uniform on the len(t) - i values left.
 
     Reads the same bits as ``_fdr(source, m)`` for m = len(t), ..., 2,
-    in that order.  Any source but an exact ``BufferedWordSource`` is
-    read by those very draws; that type is read in place.  Takes no
-    size check: each m is at most len(t), which the caller has checked.
+    in that order, and as ``_fdr`` does: an exact ``BufferedWordSource``
+    in place, any other source as an empty buffer.  Takes no size
+    check: each m is at most len(t), which the caller has checked.
     """
-    if type(source) is not BufferedWordSource:  # subclasses included
-        for i in range(len(t) - 1):
-            c = i + _fdr(source, len(t) - i)[0]
-            t[i], t[c] = t[c], t[i]
-        return t
-    buf, pos = source._buf, source._pos
+    held = source if type(source) is BufferedWordSource else _EMPTY_BUFFER
+    buf, pos = held._buf, held._pos
     masks = _LOW_MASKS
     n = len(t)
     width = (n - 1).bit_length()
@@ -269,15 +267,15 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
             pos -= width
             c = buf >> pos & masks[width]
         else:
-            source._pos = pos
+            held._pos = pos
             c = source.next_bits(width)
-            buf, pos = source._buf, source._pos
+            buf, pos = held._buf, held._pos
         if c >= m:  # rejected on the first read: _fdr's loop, inline
             bits = width
             v = 1 << width
             while c >= m:
                 if bits > _MAX_FLIPS:
-                    source._pos = pos
+                    held._pos = pos
                     raise FastdiceError(f"no value for n={m} after {bits} "
                                         "flips: the bit source looks stuck")
                 v -= m
@@ -290,14 +288,14 @@ def _fdr_shuffle(source: RandomBitSource, t: list) -> list:
                     pos -= j
                     c = c << j | buf >> pos & masks[j]
                 else:
-                    source._pos = pos
+                    held._pos = pos
                     c = c << j | source.next_bits(j)
-                    buf, pos = source._buf, source._pos
+                    buf, pos = held._buf, held._pos
                 bits += j
                 assert c < v and m <= v < (m << 1)  # as in _fdr
         c += i
         t[i], t[c] = t[c], t[i]
-    source._pos = pos
+    held._pos = pos
     return t
 
 

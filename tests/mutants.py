@@ -39,55 +39,49 @@ TIMEOUT = 120  # seconds per row
 FDR = "tests/test_fdr.py::"
 PERM = "tests/test_permutation.py::"
 MUTANTS = [
-    # The flip cap: raise one step early, through next_bits or in
-    # place, or far too soon.
+    # The flip cap: raise one step early, or far too soon.
     ("src/fastdice/core.py",
-     "if bits > _MAX_FLIPS:\n            raise",
-     "if bits >= _MAX_FLIPS:\n            raise",
-     FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
-    ("src/fastdice/core.py",
-     "if bits > _MAX_FLIPS:\n                source._pos = pos",
-     "if bits >= _MAX_FLIPS:\n                source._pos = pos",
+     "if bits > _MAX_FLIPS:\n            held._pos = pos",
+     "if bits >= _MAX_FLIPS:\n            held._pos = pos",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
     ("src/fastdice/core.py", "_MAX_FLIPS = 1024", "_MAX_FLIPS = 96",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
     # The first read's accept mirrored, n - 1 - c: still uniform on the
     # same flips, so only a reference that draws apart from ``_fdr``
     # sees it, or a trace.  In place, and through next_bits.
-    ("src/fastdice/core.py", "return c, width\n        buf",
-     "return n - 1 - c, width\n        buf",
+    ("src/fastdice/core.py", "return c, width\n        held = source",
+     "return n - 1 - c, width\n        held = source",
      "tests/test_differential.py::test_permutation_routes_match_reference"
      "[unranked]"),
-    ("src/fastdice/core.py", "return c, width\n    bits",
-     "return n - 1 - c, width\n    bits",
+    ("src/fastdice/core.py", "return c, width\n        held = _EMPTY_BUFFER",
+     "return n - 1 - c, width\n        held = _EMPTY_BUFFER",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
     # The first read one flip too wide, which a power of two shows.
     ("src/fastdice/core.py",
      "width = (n - 1).bit_length()\n    except",
      "width = n.bit_length()\n    except",
      FDR + "test_trace_n4_binary_digits"),
-    # A recycle step that reads one flip too many, through next_bits or
-    # in place.
+    # A recycle step that reads one flip too many.
     ("src/fastdice/core.py", "j = width - v.bit_length()\n        if",
      "j = width - v.bit_length() + 1\n        if",
      FDR + "test_kernels_read_width_then_each_recycle_step"),
-    ("src/fastdice/core.py", "j = width - v.bit_length()\n            if",
-     "j = width - v.bit_length() + 1\n            if",
-     FDR + "test_in_place_draws_have_the_tree_of_next_bits"),
     # The single draw reading a subclass's buffer in place, past its own
-    # next_bits.
+    # next_bits: on every read, or on each recycle step.
     ("src/fastdice/core.py", "if type(source) is BufferedWordSource:",
      "if isinstance(source, BufferedWordSource):",
      FDR + "test_a_subclass_sees_every_read_of_fdr"),
+    ("src/fastdice/core.py", "held = _EMPTY_BUFFER\n    buf",
+     "held = source\n    buf",
+     FDR + "test_a_subclass_sees_every_read_of_fdr"),
     # The single draw's buffer position left unstored: at the return,
     # before a refill in a recycle step, or before the cap's raise.
-    ("src/fastdice/core.py", "source._pos = pos\n        return c, bits",
+    ("src/fastdice/core.py", "held._pos = pos\n    return c, bits",
      "return c, bits", FDR + "test_in_place_draws_have_the_tree_of_next_bits"),
     ("src/fastdice/core.py",
-     "source._pos = pos\n                c = c << j | source.next_bits(j)",
+     "held._pos = pos\n            c = c << j | source.next_bits(j)",
      "c = c << j | source.next_bits(j)",
      FDR + "test_in_place_draws_have_the_tree_of_next_bits"),
-    ("src/fastdice/core.py", "source._pos = pos\n                raise",
+    ("src/fastdice/core.py", "held._pos = pos\n            raise",
      "raise", FDR + "test_a_capped_draw_raises_as_next_bits"),
     # A batch taking a look-alike plan, whose fields were never checked.
     ("src/fastdice/batch.py", "    _need(BatchPlan, plan)\n", "",
@@ -138,44 +132,43 @@ MUTANTS = [
     ("src/fastdice/bernoulli.py", "(num << source.next_geometric()) // den",
      "(num << source.next_geometric() - 1) // den",
      "tests/test_bernoulli.py::test_decision_bit_is_expansion_bit"),
-    # Fisher-Yates one digit short, read by single draws or in place:
-    # the swap with 2 values never drawn.
-    ("src/fastdice/core.py", "for i in range(len(t) - 1):",
-     "for i in range(len(t) - 2):",
-     PERM + "test_fisher_yates_trace_three"),
+    # Fisher-Yates one digit short: the swap with 2 values never drawn.
     ("src/fastdice/core.py", "for i in range(n - 1):",
      "for i in range(n - 2):",
      FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
-    # The in-place width stepping down one size late: a power of two
-    # read one flip too wide.
+    # The width stepping down one size late: a power of two read one
+    # flip too wide.
     ("src/fastdice/core.py", "if m <= half:", "if m < half:",
      FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
-    # The in-place recycle step: one flip too many, and its cap one
+    # The shuffle's recycle step: one flip too many, and its cap one
     # step early or its raise leaving the buffer position unstored.
     ("src/fastdice/core.py", "j = width - v.bit_length()\n                if",
      "j = width - v.bit_length() + 1\n                if",
      FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
     ("src/fastdice/core.py",
-     "if bits > _MAX_FLIPS:\n                    source._pos = pos",
-     "if bits >= _MAX_FLIPS:\n                    source._pos = pos",
+     "if bits > _MAX_FLIPS:\n                    held._pos = pos",
+     "if bits >= _MAX_FLIPS:\n                    held._pos = pos",
      FDR + "test_a_stuck_generator_raises_instead_of_hanging"),
-    ("src/fastdice/core.py", "source._pos = pos\n                    raise",
+    ("src/fastdice/core.py", "held._pos = pos\n                    raise",
      "raise", FDR + "test_a_capped_shuffle_raises_as_single_draws"),
     # The shuffle reading a subclass's buffer in place, past its own
-    # next_bits.
-    ("src/fastdice/core.py", "if type(source) is not BufferedWordSource:",
-     "if not isinstance(source, BufferedWordSource):",
+    # next_bits: as the exact type, or as what any source is read as.
+    ("src/fastdice/core.py",
+     "held = source if type(source) is BufferedWordSource else",
+     "held = source if isinstance(source, BufferedWordSource) else",
+     FDR + "test_a_subclass_sees_every_read_of_the_shuffle"),
+    ("src/fastdice/core.py", "else _EMPTY_BUFFER\n", "else source\n",
      FDR + "test_a_subclass_sees_every_read_of_the_shuffle"),
     # The shuffle's buffer position left unstored: at the return, or
     # before a refill on the first read or in a recycle step.
-    ("src/fastdice/core.py", "source._pos = pos\n    return t", "return t",
+    ("src/fastdice/core.py", "held._pos = pos\n    return t", "return t",
      FDR + "test_the_in_place_shuffle_has_the_tree_of_its_single_draws"),
     ("src/fastdice/core.py",
-     "source._pos = pos\n            c = source.next_bits(width)",
+     "held._pos = pos\n            c = source.next_bits(width)",
      "c = source.next_bits(width)",
      "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
     ("src/fastdice/core.py",
-     "source._pos = pos\n                    c = c << j | source.next_bits(j)",
+     "held._pos = pos\n                    c = c << j | source.next_bits(j)",
      "c = c << j | source.next_bits(j)",
      "tests/test_differential.py::test_fdr_shuffle_matches_reference"),
     # A period search stepping by 4: for m = 3 it never returns.

@@ -327,6 +327,52 @@ def test_a_capped_draw_raises_as_next_bits(monkeypatch):
     assert 20 < raised < 80
 
 
+class _SlottedBits:
+    """A duck-typed source, as the README allows: no ``RandomBitSource``
+    base and only ``next_bits``, which serves ``bits`` and records each
+    width.  Its ``__slots__`` make any other store on it raise."""
+
+    __slots__ = ("bits", "reads")
+
+    def __init__(self, bits):
+        self.bits = iter(bits)
+        self.reads = []
+
+    def next_bits(self, k):
+        self.reads.append(k)
+        x = 0
+        for _ in range(k):
+            x = x << 1 | next(self.bits)
+        return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_kernels_store_nothing_on_a_callers_source(seed):
+    # A source that is not exactly a BufferedWordSource is read as an
+    # empty buffer: each read goes to its next_bits, with the widths a
+    # _Recording source on the same bits is asked for, and nothing is
+    # stored on it.  The empty buffer still reads as empty afterwards.
+    stream = BufferedWordSource(seed)
+    bits = [stream.next_bit() for _ in range(60_000)]
+    rng = random.Random(seed)
+    ns = sizes(rng, 100) + [rng.randint(2, 40) for _ in range(100)]
+    plans = [plan_batch(n, 3) for n in (5, 6, 1000)]
+
+    def draws(source):
+        return ([fdr_uniform(source, n) for n in ns]
+                + [fisher_yates(source, n) for n in (2, 3, 5, 17, 52)]
+                + [batch_uniform(source, plan) for plan in plans]
+                + [random_permutation_unranked(source, n)
+                   for n in (3, 12, 13, 20)])
+    duck, script = _SlottedBits(bits), _Recording(bits)
+    left, reads = duck.bits, duck.reads
+    assert draws(duck) == draws(script)
+    assert duck.reads == script.reads
+    assert duck.bits is left and duck.reads is reads
+    assert not hasattr(duck, "__dict__")
+    assert (core._EMPTY_BUFFER._buf, core._EMPTY_BUFFER._pos) == (0, 0)
+
+
 @pytest.mark.parametrize("n", [*range(2, 13), 17, 33, 100])
 def test_in_place_draws_have_the_tree_of_next_bits(n):
     # _fdr on an exact BufferedWordSource, read in place, has the tree
@@ -343,9 +389,9 @@ def test_in_place_draws_have_the_tree_of_next_bits(n):
 
 @pytest.mark.parametrize("n", [3, 5, 6, 7])
 def test_flip_cap_walks_the_same_in_place(n, monkeypatch):
-    # With the cap at 8 flips, the in-place recycle loop raises at the
-    # same flips as the loop through next_bits, and returns the same
-    # draws everywhere else.
+    # With the cap at 8 flips, the recycle loop raises at the same flips
+    # reading in place as through next_bits, and returns the same draws
+    # everywhere else.
     monkeypatch.setattr(core, "_MAX_FLIPS", 8)
     draw = returning_errors(lambda s: _fdr(s, n))
 
@@ -362,16 +408,17 @@ def test_flip_cap_walks_the_same_in_place(n, monkeypatch):
 @pytest.mark.parametrize("n, depth", [
     (2, 40), (3, 40), (4, 40), (5, 40), (6, 20)])
 def test_the_in_place_shuffle_has_the_tree_of_its_single_draws(n, depth):
-    # Fisher-Yates on an exact BufferedWordSource, read in place, has the
-    # tree of the single draws that shuffle every other source: the same
+    # Fisher-Yates, read through next_bits or in place from an exact
+    # BufferedWordSource, has the tree of one _fdr draw per size, a
+    # reference that runs none of the shuffle's own loop: the same
     # leaves, permutations and open prefixes.  With nothing preloaded
     # every read refills; with 5 flips the buffer runs dry inside a
     # draw; with the whole script every read is taken from the buffer.
     def shuffle(source):
         return tuple(fisher_yates(source, n))
-    want = walk(shuffle, depth)
-    for preload in (0, 5, depth):
-        assert walk(in_place(shuffle, preload), depth) == want
+    want = walk(lambda s: tuple(single_draws(s, [*range(1, n + 1)])), depth)
+    for draw in (shuffle, *(in_place(shuffle, p) for p in (0, 5, depth))):
+        assert walk(draw, depth) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
